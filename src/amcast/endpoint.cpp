@@ -19,7 +19,12 @@ constexpr std::uint64_t kPropSlotSize = sizeof(ProposalRecord);
 }  // namespace
 
 Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
-    : system_(&system), group_(group), rank_(rank), node_(&node) {
+    : system_(&system),
+      group_(group),
+      rank_(rank),
+      node_(&node),
+      hub_(&system.fabric().telemetry()),
+      label_("g" + std::to_string(group) + ".r" + std::to_string(rank)) {
   const Config& cfg = system.config();
   inbox_mr_ = node.register_region(static_cast<std::size_t>(cfg.max_clients) *
                                    cfg.inbox_slots_per_client * kInboxSlotSize);
@@ -40,22 +45,7 @@ Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
   batch_notifier_ = std::make_unique<sim::Notifier>(
       system.fabric().simulator());
 
-  hub_ = &system.fabric().telemetry();
-  const std::string label =
-      "g" + std::to_string(group) + ".r" + std::to_string(rank);
-  hub_->tracer.set_tid_name(node.id(), label);
-  ctr_proposes_ = &hub_->metrics.counter("amcast", "proposes", label);
-  ctr_commits_ = &hub_->metrics.counter("amcast", "commits", label);
-  ctr_deliveries_ = &hub_->metrics.counter("amcast", "deliveries", label);
-  ctr_takeovers_ = &hub_->metrics.counter("amcast", "takeovers", label);
-  ctr_reproposals_ = &hub_->metrics.counter("amcast", "reproposals", label);
-  ctr_shed_ = &hub_->metrics.counter("amcast", "shed", label);
-  ctr_admission_tightened_ =
-      &hub_->metrics.counter("amcast", "admission_tightened", label);
-  gauge_admission_window_ =
-      &hub_->metrics.gauge("amcast", "admission_window", label);
-  hist_batch_ = &hub_->metrics.histogram("amcast", "batch_size", label,
-                                         {1, 2, 4, 8, 16, 32, 64});
+  hub_->tracer.set_tid_name(node.id(), label_);
 
   effective_window_ = cfg.admission_window;
   admission_last_stalls_ = 0;
@@ -683,7 +673,6 @@ void Endpoint::try_deliver() {
     mark_delivered(best_uid);
     pending_.erase(best_uid);
     seen_.erase(best_uid);
-    ++delivered_count_;
     ctr_deliveries_->inc();
     hub_->tracer.instant("amcast", "deliver", node_->id(),
                          {{"uid", d.uid}, {"tmp", d.tmp}});
@@ -726,7 +715,7 @@ void Endpoint::debug_dump() const {
                group_, rank_, leader_, (unsigned long long)epoch_,
                (unsigned long long)clock_, (unsigned long long)applied_seq_,
                (unsigned long long)append_seq_,
-               (unsigned long long)delivered_count_, seen_.size(),
+               (unsigned long long)delivered_count(), seen_.size(),
                pending_.size());
   for (const auto& [uid, p] : pending_) {
     std::fprintf(stderr,

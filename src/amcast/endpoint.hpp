@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "amcast/types.hpp"
@@ -79,7 +80,9 @@ class Endpoint {
   [[nodiscard]] int current_leader() const { return leader_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::uint64_t clock() const { return clock_; }
-  [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
+  [[nodiscard]] std::uint64_t delivered_count() const {
+    return ctr_deliveries_->value();
+  }
 
   /// True once at least one delivery is queued for the application.
   [[nodiscard]] bool has_delivery() const { return !ready_.empty(); }
@@ -249,7 +252,6 @@ class Endpoint {
   std::map<MsgUid, Pending> pending_;
   std::vector<DeliveredSet> delivered_;  // per client id
   std::map<MsgUid, WireMessage> seen_;  // inbox'd but not yet proposed
-  std::uint64_t delivered_count_ = 0;
 
   // Leader-side batching. note_seen/takeover enqueue uids; batch_loop
   // drains the queue into PROPOSE batches. Commits ready at the same
@@ -276,17 +278,25 @@ class Endpoint {
   std::unique_ptr<sim::Notifier> ready_notifier_;
   DeliveryObserver delivery_observer_;
 
-  // Telemetry handles (see telemetry/hub.hpp), keyed by "g<g>.r<r>".
+  // Registry handles (see telemetry/hub.hpp), keyed by label_.
   telemetry::Hub* hub_;
-  telemetry::Counter* ctr_proposes_;
-  telemetry::Counter* ctr_commits_;
-  telemetry::Counter* ctr_deliveries_;
-  telemetry::Counter* ctr_takeovers_;
-  telemetry::Counter* ctr_reproposals_;
-  telemetry::Counter* ctr_shed_;
-  telemetry::Counter* ctr_admission_tightened_;
-  telemetry::Gauge* gauge_admission_window_;
-  telemetry::Histogram* hist_batch_;  // PROPOSE batch sizes (messages)
+  std::string label_;  // "g<g>.r<r>"
+  using Counter = telemetry::Counter;
+  Counter* counter(const char* name) {
+    return &hub_->metrics.counter("amcast", name, label_);
+  }
+  Counter* ctr_proposes_ = counter("proposes");
+  Counter* ctr_commits_ = counter("commits");
+  Counter* ctr_deliveries_ = counter("deliveries");
+  Counter* ctr_takeovers_ = counter("takeovers");
+  Counter* ctr_reproposals_ = counter("reproposals");
+  Counter* ctr_shed_ = counter("shed");
+  Counter* ctr_admission_tightened_ = counter("admission_tightened");
+  telemetry::Gauge* gauge_admission_window_ =
+      &hub_->metrics.gauge("amcast", "admission_window", label_);
+  telemetry::Histogram* hist_batch_ =  // PROPOSE batch sizes (messages)
+      &hub_->metrics.histogram("amcast", "batch_size", label_,
+                               {1, 2, 4, 8, 16, 32, 64});
 };
 
 }  // namespace heron::amcast

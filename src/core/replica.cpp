@@ -136,6 +136,8 @@ Replica::Replica(System& system, GroupId group, int rank)
     : system_(&system),
       group_(group),
       rank_(rank),
+      hub_(&system.fabric().telemetry()),
+      label_("g" + std::to_string(group) + ".r" + std::to_string(rank)),
       rng_(0x9e3779b9u ^ (static_cast<std::uint64_t>(group) << 16) ^
            static_cast<std::uint64_t>(rank)) {
   const HeronConfig& cfg = system.config();
@@ -177,51 +179,9 @@ Replica::Replica(System& system, GroupId group, int rank)
   staging_next_.assign(reps, 0);
   staging_sent_.assign(reps, 0);
 
-  hub_ = &system.fabric().telemetry();
-  const std::string label =
-      "g" + std::to_string(group) + ".r" + std::to_string(rank);
-  auto& m = hub_->metrics;
-  ctr_executed_ = &m.counter("core", "executed", label);
-  ctr_skipped_ = &m.counter("core", "skipped", label);
-  ctr_addr_hits_ = &m.counter("core", "addr_cache_hits", label);
-  ctr_addr_misses_ = &m.counter("core", "addr_cache_misses", label);
-  ctr_remote_reads_ = &m.counter("core", "remote_reads", label);
-  ctr_remote_retries_ = &m.counter("core", "remote_read_retries", label);
-  ctr_lagging_ = &m.counter("core", "lagging_detected", label);
-  ctr_state_transfers_ = &m.counter("core", "state_transfers", label);
-  ctr_transfers_served_ = &m.counter("core", "transfers_served", label);
-  ctr_xfer_bytes_sent_ = &m.counter("core", "transfer_bytes_sent", label);
-  ctr_xfer_bytes_applied_ = &m.counter("core", "transfer_bytes_applied", label);
-  ctr_xfer_bytes_applied_full_ =
-      &m.counter("core", "transfer_bytes_applied_full", label);
-  ctr_xfer_bytes_applied_delta_ =
-      &m.counter("core", "transfer_bytes_applied_delta", label);
-  ctr_checkpoints_ = &m.counter("durable", "replica_checkpoints", label);
-  ctr_ckpt_deferred_ = &m.counter("durable", "checkpoints_deferred", label);
-  ctr_sessions_evicted_ = &m.counter("durable", "sessions_evicted", label);
-  ctr_stale_session_ = &m.counter("durable", "stale_session_replies", label);
-  gauge_restart_delta_ = &m.gauge("durable", "restart_delta_bytes", label);
-  ctr_dedup_hits_ = &m.counter("core", "session_dedup_hits", label);
-  ctr_shed_replies_ = &m.counter("core", "shed_replies", label);
-  ctr_lease_grants_ = &m.counter("core", "lease_grants", label);
-  ctr_gate_waits_ = &m.counter("core", "gate_waits", label);
-  ctr_ordered_reads_ = &m.counter("core", "ordered_reads", label);
-  ctr_fast_fence_ = &m.counter("core", "fastwrite_fence_waits", label);
-  ctr_fast_discards_ = &m.counter("core", "fastwrite_discards", label);
-  ctr_fast_repairs_ = &m.counter("core", "fastwrite_repairs", label);
-  ctr_copy_chunks_ = &m.counter("reconfig", "copy_chunks", label);
-  ctr_copy_corrupt_ = &m.counter("reconfig", "copy_chunks_corrupt", label);
-  ctr_copy_deferred_ = &m.counter("reconfig", "copy_deferred", label);
-  ctr_copy_pulls_ = &m.counter("reconfig", "copy_pulls", label);
-  ctr_wrong_epoch_ = &m.counter("reconfig", "wrong_epoch_replies", label);
-  ctr_quiesce_ = &m.counter("reconfig", "quiesce_deferred", label);
-  hist_exec_ = &m.histogram("core", "exec_ns", label);
-  hist_coord_ = &m.histogram("core", "coord_ns", label);
-  hist_gate_wait_ = &m.histogram("core", "gate_wait_ns", label);
-
   if (cfg.durable.enabled()) {
     ckpt_ = std::make_unique<durable::CheckpointStore>(
-        system.simulator(), hub_, cfg.durable, label);
+        system.simulator(), hub_, cfg.durable, label_);
   }
 }
 
@@ -244,43 +204,13 @@ void Replica::start() {
   }
 }
 
-void Replica::reset_stats() {
-  coord_stats_ = {};
-  ordering_lat_.clear();
-  coord_lat_.clear();
-  exec_lat_.clear();
-  // Satellite audit (PR 10): every counter added since PR 5 must reset
-  // here too, or post-warmup bench reports carry warmup-inflated values.
-  // Only counters are cleared — watermarks, sessions, lease/layout state
-  // and cursors are runtime state, not statistics.
-  dedup_hits_ = 0;
-  shed_replies_ = 0;
-  executed_ = 0;
-  skipped_ = 0;
-  state_transfers_ = 0;
-  transfers_served_ = 0;
-  lease_grants_ = 0;
-  gate_waits_ = 0;
-  checkpoints_ = 0;
-  ckpt_deferred_ = 0;
-  sessions_evicted_ = 0;
-  stale_session_replies_ = 0;
-  copy_chunks_sent_ = 0;
-  copy_chunks_received_ = 0;
-  copy_chunks_corrupt_ = 0;
-  copy_deferred_ = 0;
-  copy_pulls_ = 0;
-  copy_pulls_served_ = 0;
-  wrong_epoch_replies_ = 0;
-  quiesce_deferred_ = 0;
-  migrated_out_ = 0;
-  migrated_in_ = 0;
-  ckpt_rejected_layout_ = 0;
-  fast_fence_waits_ = 0;
-  fast_discards_ = 0;
-  fast_repairs_ = 0;
-  fast_adopted_ = 0;
-  fast_rediscarded_ = 0;
+CoordStats Replica::coord_stats() const {
+  return CoordStats{
+      .multi_partition = ctr_coord_multi_->value(),
+      .delayed = ctr_coord_delayed_->value(),
+      .delay_sum = static_cast<sim::Nanos>(ctr_coord_delay_ns_->value()),
+      .gave_up = ctr_coord_gave_up_->value(),
+  };
 }
 
 std::uint64_t Replica::coord_offset(GroupId h, int q) const {
@@ -348,7 +278,6 @@ sim::Task<void> Replica::main_loop() {
 
       // Lines 3-4: skip requests already covered by a state transfer.
       if (r.tmp <= last_req_) {
-        ++skipped_;
         ctr_skipped_->inc();
         continue;
       }
@@ -404,7 +333,6 @@ sim::Task<void> Replica::main_loop() {
       // of every destination takes this exact branch for this uid), but
       // answered BUSY and never executed.
       if (r.shed) {
-        ++shed_replies_;
         ctr_shed_replies_->inc();
         last_executed_ = std::max(last_executed_, r.tmp);
         co_await send_reply(r, Reply{kStatusBusy, {}});
@@ -421,7 +349,6 @@ sim::Task<void> Replica::main_loop() {
         const auto tomb = evicted_sessions_.find(amcast::uid_client(r.uid));
         if (tomb != evicted_sessions_.end() &&
             r.header.session_seq <= tomb->second) {
-          ++stale_session_replies_;
           ctr_stale_session_->inc();
           last_executed_ = std::max(last_executed_, r.tmp);
           co_await send_reply(r, Reply{kStatusStaleSession, {}});
@@ -435,7 +362,6 @@ sim::Task<void> Replica::main_loop() {
       // cache when it holds exactly this command; stay silent for in-flight
       // or stale duplicates — the live attempt owns the reply slot.
       if (session_executed(r)) {
-        ++dedup_hits_;
         ctr_dedup_hits_->inc();
         last_executed_ = std::max(last_executed_, r.tmp);
         if (const Reply* cached = session_cached(r)) {
@@ -459,7 +385,6 @@ sim::Task<void> Replica::main_loop() {
         // a pre-flip misroute defers here instead of ping-ponging
         // kStatusWrongEpoch between source and destination.
         if (touches_unsealed_inbound(roids)) {
-          ++quiesce_deferred_;
           ctr_quiesce_->inc();
           while (touches_unsealed_inbound(roids)) {
             co_await system_->simulator().sleep(sim::us(20));
@@ -482,7 +407,6 @@ sim::Task<void> Replica::main_loop() {
             }
           }
           if (have_foreign) {
-            ++wrong_epoch_replies_;
             ctr_wrong_epoch_->inc();
             last_executed_ = std::max(last_executed_, r.tmp);
             if (leases_enabled()) push_applied();
@@ -644,7 +568,6 @@ sim::Task<void> Replica::exec_concurrent(Request r, int slot,
   const sim::Nanos exec_ns = system_->simulator().now() - t0;
   exec_lat_.record(exec_ns);
   hist_exec_->observe(exec_ns);
-  ++executed_;
   ctr_executed_->inc();
   last_executed_ = std::max(last_executed_, r.tmp);
   note_executed(r, out.reply);
@@ -663,7 +586,6 @@ sim::Task<void> Replica::handle_request(Request r) {
   ordering_lat_.record(system_->simulator().now() - r.header.sent_at);
 
   if (cfg.mode == Mode::kOrderOnly) {
-    ++executed_;
     ctr_executed_->inc();
     last_executed_ = std::max(last_executed_, r.tmp);
     note_executed(r, Reply{});
@@ -688,7 +610,6 @@ sim::Task<void> Replica::handle_request(Request r) {
       if (stale(inc)) co_return;
     }
     Reply reply = make_read_reply(r);
-    ++executed_;
     ctr_executed_->inc();
     last_executed_ = std::max(last_executed_, r.tmp);
     if (leases_enabled()) push_applied();
@@ -713,7 +634,6 @@ sim::Task<void> Replica::handle_request(Request r) {
       reply = std::move(out.reply);
       locked = std::move(out.locked);
     }
-    ++executed_;
     ctr_executed_->inc();
     last_executed_ = std::max(last_executed_, r.tmp);
     if (leases_enabled()) {
@@ -759,9 +679,8 @@ sim::Task<void> Replica::handle_request(Request r) {
   const sim::Nanos coord_ns = phase2 + (system_->simulator().now() - c1);
   coord_lat_.record(coord_ns);
   hist_coord_->observe(coord_ns);
-  ++coord_stats_.multi_partition;
+  ctr_coord_multi_->inc();
 
-  ++executed_;
   ctr_executed_->inc();
   last_executed_ = std::max(last_executed_, r.tmp);
   if (leases_enabled()) {
@@ -837,9 +756,9 @@ sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
   // Wait-for-all heuristic (§III-A last paragraph; Table I): after the
   // majority is in, tentatively wait for all replicas up to the cutoff.
   if (coord_satisfied(r, phase, /*require_all=*/true)) co_return;
-  ++coord_stats_.delayed;
+  ctr_coord_delayed_->inc();
   if (cfg.coord_extra_delay <= 0) {
-    ++coord_stats_.gave_up;
+    ctr_coord_gave_up_->inc();
     co_return;
   }
   const sim::Nanos t0 = system_->simulator().now();
@@ -847,8 +766,9 @@ sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
       notifier,
       [this, &r, phase] { return coord_satisfied(r, phase, true); },
       cfg.coord_extra_delay);
-  coord_stats_.delay_sum += system_->simulator().now() - t0;
-  if (!all) ++coord_stats_.gave_up;
+  ctr_coord_delay_ns_->inc(
+      static_cast<std::uint64_t>(system_->simulator().now() - t0));
+  if (!all) ctr_coord_gave_up_->inc();
 }
 
 sim::Task<void> Replica::send_reply(const Request& r, const Reply& reply) {
@@ -1018,7 +938,6 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
       // the fast writer's own ordered fallback.
       store_->install_version(oid, bytes, r.tmp, store_->is_serialized(oid));
       store_->clear_fast_lock(oid);
-      ++fast_repairs_;
       ctr_fast_repairs_->inc();
     } else {
       store_->set(oid, bytes, r.tmp);
@@ -1055,7 +974,6 @@ void Replica::apply_lease_grant(const Request& r) {
   if (r.payload.size() < sizeof(LeaseGrantWire)) return;  // malformed
   LeaseGrantWire wire{};
   std::memcpy(&wire, r.payload.data(), sizeof(wire));
-  ++lease_grants_;
   ctr_lease_grants_->inc();
   lease_epoch_ = r.tmp;
   // Monotone: expiry = submit time + duration and the manager submits
@@ -1106,7 +1024,6 @@ sim::Task<void> Replica::write_gate(const Request& r,
       return true;
     };
     if (!all_applied()) {
-      ++gate_waits_;
       ctr_gate_waits_->inc();
       // Capped by the expiry of the lease active NOW: any grant still
       // valid after that instant is ordered after r in the stream, so its
@@ -1154,7 +1071,6 @@ sim::Task<void> Replica::fast_write_fence(const Request& r) {
 
 sim::Task<void> Replica::fence_slot(Oid oid) {
   const std::uint64_t inc = incarnation_;
-  ++fast_fence_waits_;
   ctr_fast_fence_->inc();
   while (store_->fast_pending(oid)) {
     const sim::Nanos now = system_->simulator().now();
@@ -1167,7 +1083,6 @@ sim::Task<void> Replica::fence_slot(Oid oid) {
       // this same verdict at its own expiry; discard restores the
       // surviving version.
       store_->discard_pending(oid);
-      ++fast_discards_;
       ctr_fast_discards_->inc();
       co_return;
     }
@@ -1576,7 +1491,7 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
     if (store_->fast_pending(oid)) store_->discard_pending(oid);
     if (store_->seqlock(oid) & 1) store_->end_write(oid);
     store_->retire(oid);
-    ++migrated_out_;
+    ctr_migrated_out_->inc();
   }
   std::erase_if(update_log_,
                 [&mig](const LogEntry& e) { return mig.contains(e.oid); });
@@ -1621,7 +1536,6 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
         // by then the slot has validated or been discarded.
         migration_dirty_.insert(oid);
         pass_pending_.erase(oid);
-        ++copy_deferred_;
         ctr_copy_deferred_->inc();
         continue;
       }
@@ -1673,7 +1587,6 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
              (rcfg.throttle_uplink_backlog > 0 &&
               fabric.uplink_backlog(node().id()) >
                   rcfg.throttle_uplink_backlog)) {
-        ++copy_deferred_;
         ctr_copy_deferred_->inc();
         co_await sim.sleep(rcfg.throttle_backoff);
         if (stale(inc)) co_return false;
@@ -1708,7 +1621,6 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
                     reconfig::copy_slot_offset(rcfg, rank_, hdr.seq)},
         std::span<const std::byte>(chunk).first(sizeof(hdr) + fill));
     if (stale(inc)) co_return false;
-    ++copy_chunks_sent_;
     ctr_copy_chunks_->inc();
     for (const Oid oid : chunk_oids) pass_pending_.erase(oid);
     chunk_oids.clear();
@@ -1781,7 +1693,6 @@ sim::Task<void> Replica::copy_recv_loop() {
         // (cursor already advanced; the pull path re-ships it) instead of
         // an out-of-range subspan.
         if (hdr.payload_bytes > rcfg.copy_chunk_bytes) {
-          ++copy_chunks_corrupt_;
           ctr_copy_corrupt_->inc();
           inbound_stream_dirty_ = true;
           continue;
@@ -1789,12 +1700,11 @@ sim::Task<void> Replica::copy_recv_loop() {
         const auto payload = region.bytes().subspan(
             base + sizeof(reconfig::CopyChunkHeader), hdr.payload_bytes);
         if (reconfig::copy_crc(payload) != hdr.crc) {
-          ++copy_chunks_corrupt_;
           ctr_copy_corrupt_->inc();
           inbound_stream_dirty_ = true;
           continue;
         }
-        ++copy_chunks_received_;
+        ctr_copy_received_->inc();
         sim::Nanos apply_cpu = 0;
         std::uint64_t off = 0;
         bool malformed = false;
@@ -1829,7 +1739,7 @@ sim::Task<void> Replica::copy_recv_loop() {
           if (store_->exists(rec.oid)) {
             if (store_->get(rec.oid).first >= rec.tmp) continue;
           } else {
-            ++migrated_in_;
+            ctr_migrated_in_->inc();
           }
           store_->install_version(rec.oid, value, rec.tmp,
                                   rec.serialized != 0);
@@ -1842,7 +1752,6 @@ sim::Task<void> Replica::copy_recv_loop() {
           // A record overran the CRC'd payload: sender bug or a torn-write
           // mode the CRC missed. Same recovery as a corrupt chunk — taint
           // the stream so the seal is withheld until a pull resend.
-          ++copy_chunks_corrupt_;
           ctr_copy_corrupt_->inc();
           inbound_stream_dirty_ = true;
           continue;
@@ -1888,7 +1797,6 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
         rdma::RAddr{donor.node().id(), donor.reconfig_mr(),
                     reconfig::copy_pull_offset(rcfg, reps, rank_)},
         rdma::pod_bytes(pw));
-    ++copy_pulls_;
     ctr_copy_pulls_->inc();
     inbound_progress_at_ = sim.now();
   }
@@ -1916,7 +1824,7 @@ sim::Task<void> Replica::pull_watch_loop() {
       // source rank. (Every source crashing after the FLIP but before
       // any dest rank sealed is out of scope — see DESIGN.md.)
       if (!outbound_flipped_ || final_image_.empty()) continue;
-      ++copy_pulls_served_;
+      ctr_copy_pulls_served_->inc();
       std::vector<CopyItem> items = final_image_;
       co_await copy_send(std::move(items), outbound_epoch_, outbound_.to, q,
                          /*seal=*/true, /*throttle=*/false, inc);
@@ -2085,7 +1993,6 @@ std::vector<Oid> Replica::log_objects_since(Tmp from_tmp, bool held_through,
 sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
                                                 bool have_sessions) {
   const std::uint64_t inc = incarnation_;
-  ++state_transfers_;
   ctr_state_transfers_->inc();
   auto span = hub_->tracer.span("core", "state_transfer", node().id());
   span.arg("from_tmp", failed_tmp);
@@ -2206,7 +2113,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // Pause execution at a request boundary: the replica is single-threaded,
   // so serving the transfer and executing requests are mutually exclusive.
   in_state_transfer_ = true;
-  ++transfers_served_;
   ctr_transfers_served_->inc();
   auto span = hub_->tracer.span("core", "serve_transfer", node().id());
   span.arg("lagger", static_cast<std::uint64_t>(lagger_rank));
@@ -2465,10 +2371,8 @@ sim::Task<void> Replica::staging_apply_loop() {
         staging_next_[static_cast<std::size_t>(s)] = hdr.seq;
         ctr_xfer_bytes_applied_->inc(hdr.payload_bytes);
         if ((hdr.flags & kChunkFlagFull) != 0) {
-          xfer_applied_full_bytes_ += hdr.payload_bytes;
           ctr_xfer_bytes_applied_full_->inc(hdr.payload_bytes);
         } else {
-          xfer_applied_delta_bytes_ += hdr.payload_bytes;
           ctr_xfer_bytes_applied_delta_->inc(hdr.payload_bytes);
         }
         if (apply_cpu > 0) {
@@ -2500,7 +2404,6 @@ sim::Task<void> Replica::checkpoint_loop() {
     // queue is deep, or the replica CPU has a backlog of queued work.
     while (ep.propose_backlog() > dcfg.throttle_queue_depth ||
            node().cpu().free_at() > sim.now() + dcfg.throttle_cpu_backlog) {
-      ++ckpt_deferred_;
       ctr_ckpt_deferred_->inc();
       co_await sim.sleep(dcfg.throttle_backoff);
       if (stale(inc)) co_return;
@@ -2625,7 +2528,6 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   if (stale(inc)) co_return;
   if (!ok) co_return;  // aborted or out of pages; previous commit intact
 
-  ++checkpoints_;
   ctr_checkpoints_->inc();
   const Tmp prev_w = ckpt_watermark_;
   ckpt_watermark_ = w;
@@ -2654,7 +2556,6 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
         if (!s.above.empty()) floor = std::max(floor, *s.above.rbegin());
         auto& tomb = evicted_sessions_[it->first];
         tomb = std::max(tomb, floor);
-        ++sessions_evicted_;
         ctr_sessions_evicted_->inc();
         it = sessions_.erase(it);
       } else {
@@ -2765,7 +2666,7 @@ void Replica::restart() {
     evicted_sessions_.clear();
   }
   restored_from_checkpoint_ = false;
-  restart_catchup_bytes_ = 0;
+  gauge_restart_delta_->set(0);
   rejoining_ = true;
 
   // Reconfiguration role state is volatile (its coroutines died with the
@@ -2944,7 +2845,7 @@ sim::Task<void> Replica::rejoin() {
             peer_epoch, rdma::load_pod<std::uint64_t>(std::span(buf), 0));
       }
       if (peer_epoch > img->layout_epoch) {
-        ++ckpt_rejected_layout_;
+        ctr_ckpt_rejected_layout_->inc();
         HSIM_LOG(system_->simulator(), kInfo,
                  "core g" << group_ << ".r" << rank_
                           << " checkpoint rejected: layout_epoch="
@@ -2976,14 +2877,13 @@ sim::Task<void> Replica::rejoin() {
   // tells the donor we hold everything through last_executed_ inclusive,
   // so only strictly newer updates ship; a plain request keeps the
   // failed-request semantics (donor re-ships from_tmp itself).
-  const std::uint64_t applied_before =
-      xfer_applied_full_bytes_ + xfer_applied_delta_bytes_;
+  const std::uint64_t applied_before = ctr_xfer_bytes_applied_->value();
   co_await request_state_transfer(last_executed_, have_sessions);
   if (stale(inc)) co_return;
-  restart_catchup_bytes_ =
-      xfer_applied_full_bytes_ + xfer_applied_delta_bytes_ - applied_before;
-  gauge_restart_delta_->set(
-      static_cast<std::int64_t>(restart_catchup_bytes_));
+  // A stats reset mid-transfer restarts the counter: all it holds is ours.
+  const std::uint64_t applied = ctr_xfer_bytes_applied_->value();
+  gauge_restart_delta_->set(static_cast<std::int64_t>(
+      applied >= applied_before ? applied - applied_before : applied));
 
   if (layout_.enabled()) {
     // Owner sweep: the store index survives the crash, so objects this
@@ -3066,7 +2966,7 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
           // phase-A traffic — so validating locally adopts the same
           // version, not a torn one.
           store_->validate_fast(oid, pending);
-          ++fast_adopted_;
+          ctr_fast_adopted_->inc();
           resolved = true;
         } else if (peer_lock == (pending | 1)) {
           peer_pending = true;  // undecided there too — ask again later
@@ -3075,7 +2975,7 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
           // wiped it with an ordered write, or committed a later fast
           // write): our pending version is dead either way.
           store_->discard_pending(oid);
-          ++fast_rediscarded_;
+          ctr_fast_rediscarded_->inc();
           resolved = true;
         }
       }
@@ -3087,7 +2987,7 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
         // validated — a VALIDATE requires a verify round against ALL
         // replicas, and its trace would survive as a validated lock.
         store_->discard_pending(oid);
-        ++fast_rediscarded_;
+        ctr_fast_rediscarded_->inc();
         break;
       }
       co_await system_->simulator().sleep(sim::us(50));

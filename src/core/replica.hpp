@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -55,16 +56,24 @@ class Replica {
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] Application& app() { return *app_; }
   [[nodiscard]] Tmp last_req() const { return last_req_; }
-  [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
-  [[nodiscard]] std::uint64_t skipped_count() const { return skipped_; }
+  [[nodiscard]] std::uint64_t executed_count() const {
+    return ctr_executed_->value();
+  }
+  [[nodiscard]] std::uint64_t skipped_count() const {
+    return ctr_skipped_->value();
+  }
   [[nodiscard]] std::uint64_t state_transfers() const {
-    return state_transfers_;
+    return ctr_state_transfers_->value();
   }
   [[nodiscard]] std::uint64_t transfers_served() const {
-    return transfers_served_;
+    return ctr_transfers_served_->value();
   }
-  [[nodiscard]] std::uint64_t dedup_hits() const { return dedup_hits_; }
-  [[nodiscard]] std::uint64_t shed_replies() const { return shed_replies_; }
+  [[nodiscard]] std::uint64_t dedup_hits() const {
+    return ctr_dedup_hits_->value();
+  }
+  [[nodiscard]] std::uint64_t shed_replies() const {
+    return ctr_shed_replies_->value();
+  }
 
   /// Per-client session: at-most-once execution bookkeeping plus the last
   /// reply, answered from cache on retries. Exposed for tests and for the
@@ -115,28 +124,28 @@ class Replica {
   [[nodiscard]] bool rejoining() const { return rejoining_; }
   [[nodiscard]] Tmp checkpoint_watermark() const { return ckpt_watermark_; }
   [[nodiscard]] std::uint64_t checkpoints_completed() const {
-    return checkpoints_;
+    return ctr_checkpoints_->value();
   }
   [[nodiscard]] std::uint64_t checkpoints_deferred() const {
-    return ckpt_deferred_;
+    return ctr_ckpt_deferred_->value();
   }
   [[nodiscard]] std::uint64_t sessions_evicted() const {
-    return sessions_evicted_;
+    return ctr_sessions_evicted_->value();
   }
   [[nodiscard]] std::uint64_t stale_session_replies() const {
-    return stale_session_replies_;
+    return ctr_stale_session_->value();
   }
   [[nodiscard]] bool restored_from_checkpoint() const {
     return restored_from_checkpoint_;
   }
   [[nodiscard]] std::uint64_t restart_catchup_bytes() const {
-    return restart_catchup_bytes_;
+    return static_cast<std::uint64_t>(gauge_restart_delta_->value());
   }
   [[nodiscard]] std::uint64_t xfer_applied_full_bytes() const {
-    return xfer_applied_full_bytes_;
+    return ctr_xfer_bytes_applied_full_->value();
   }
   [[nodiscard]] std::uint64_t xfer_applied_delta_bytes() const {
-    return xfer_applied_delta_bytes_;
+    return ctr_xfer_bytes_applied_delta_->value();
   }
   /// Null when the durable subsystem is disabled.
   [[nodiscard]] durable::CheckpointStore* durable_store() {
@@ -163,12 +172,13 @@ class Replica {
     }
   }
 
-  // Measurement hooks (read directly by the harness).
-  [[nodiscard]] const CoordStats& coord_stats() const { return coord_stats_; }
+  // Measurement hooks (read directly by the harness; cleared by
+  // System::reset_stats).
+  /// Snapshot of the wait-for-all coordination counters.
+  [[nodiscard]] CoordStats coord_stats() const;
   [[nodiscard]] sim::LatencyRecorder& ordering_lat() { return ordering_lat_; }
   [[nodiscard]] sim::LatencyRecorder& coord_lat() { return coord_lat_; }
   [[nodiscard]] sim::LatencyRecorder& exec_lat() { return exec_lat_; }
-  void reset_stats();
 
   // Region handles.
   [[nodiscard]] rdma::MrId coord_mr() const { return coord_mr_; }
@@ -181,8 +191,12 @@ class Replica {
   // Fast-read lease state (tests / diagnostics).
   [[nodiscard]] std::uint64_t lease_epoch() const { return lease_epoch_; }
   [[nodiscard]] sim::Nanos lease_expiry() const { return lease_expiry_; }
-  [[nodiscard]] std::uint64_t lease_grants() const { return lease_grants_; }
-  [[nodiscard]] std::uint64_t gate_waits() const { return gate_waits_; }
+  [[nodiscard]] std::uint64_t lease_grants() const {
+    return ctr_lease_grants_->value();
+  }
+  [[nodiscard]] std::uint64_t gate_waits() const {
+    return ctr_gate_waits_->value();
+  }
 
   // Fast-write state (tests / diagnostics).
   /// A fast-write-armed lease grant (kWireFlagFastWrite) has been applied
@@ -190,18 +204,11 @@ class Replica {
   [[nodiscard]] bool fast_write_armed() const { return fast_write_armed_; }
   /// Ordered requests that suspended on a pending INVALIDATE.
   [[nodiscard]] std::uint64_t fast_fence_waits() const {
-    return fast_fence_waits_;
+    return ctr_fast_fence_->value();
   }
-  /// Pending INVALIDATEs resolved as aborted (lease expiry / restart).
-  [[nodiscard]] std::uint64_t fast_discards() const { return fast_discards_; }
   /// Ordered writes that wiped fast-write residue off a slot.
-  [[nodiscard]] std::uint64_t fast_repairs() const { return fast_repairs_; }
-  /// Rejoin reconciliation outcomes for slots left pending by a crash.
-  [[nodiscard]] std::uint64_t fast_reconciled_adopted() const {
-    return fast_adopted_;
-  }
-  [[nodiscard]] std::uint64_t fast_reconciled_discarded() const {
-    return fast_rediscarded_;
+  [[nodiscard]] std::uint64_t fast_repairs() const {
+    return ctr_fast_repairs_->value();
   }
 
   /// Test hook (write-gate takeover regression): bumps the incarnation
@@ -230,29 +237,31 @@ class Replica {
     return inbound_epoch_ == 0 || seal_epoch_seen_ >= inbound_epoch_;
   }
   [[nodiscard]] std::uint64_t copy_chunks_sent() const {
-    return copy_chunks_sent_;
-  }
-  [[nodiscard]] std::uint64_t copy_chunks_received() const {
-    return copy_chunks_received_;
+    return ctr_copy_chunks_->value();
   }
   [[nodiscard]] std::uint64_t copy_chunks_corrupt() const {
-    return copy_chunks_corrupt_;
+    return ctr_copy_corrupt_->value();
   }
-  [[nodiscard]] std::uint64_t copy_deferred() const { return copy_deferred_; }
-  [[nodiscard]] std::uint64_t copy_pulls() const { return copy_pulls_; }
-  [[nodiscard]] std::uint64_t copy_pulls_served() const {
-    return copy_pulls_served_;
+  [[nodiscard]] std::uint64_t copy_deferred() const {
+    return ctr_copy_deferred_->value();
+  }
+  [[nodiscard]] std::uint64_t copy_pulls() const {
+    return ctr_copy_pulls_->value();
   }
   [[nodiscard]] std::uint64_t wrong_epoch_replies() const {
-    return wrong_epoch_replies_;
+    return ctr_wrong_epoch_->value();
   }
   [[nodiscard]] std::uint64_t quiesce_deferred() const {
-    return quiesce_deferred_;
+    return ctr_quiesce_->value();
   }
-  [[nodiscard]] std::uint64_t migrated_out() const { return migrated_out_; }
-  [[nodiscard]] std::uint64_t migrated_in() const { return migrated_in_; }
+  [[nodiscard]] std::uint64_t migrated_out() const {
+    return ctr_migrated_out_->value();
+  }
+  [[nodiscard]] std::uint64_t migrated_in() const {
+    return ctr_migrated_in_->value();
+  }
   [[nodiscard]] std::uint64_t checkpoints_rejected_layout() const {
-    return ckpt_rejected_layout_;
+    return ctr_ckpt_rejected_layout_->value();
   }
 
   // Offset helpers shared with peer writers.
@@ -448,8 +457,6 @@ class Replica {
 
   // --- sessions (at-most-once execution) -------------------------------
   std::map<std::uint32_t, Session> sessions_;  // client id -> session
-  std::uint64_t dedup_hits_ = 0;
-  std::uint64_t shed_replies_ = 0;
   /// Records that `r` is being executed (called at dispatch, before the
   /// execution completes, so a duplicate arriving mid-execution is caught).
   void session_mark(const Request& r);
@@ -466,8 +473,6 @@ class Replica {
   rdma::MrId fastread_mr_{};
   std::uint64_t lease_epoch_ = 0;     // tmp of the latest applied grant
   sim::Nanos lease_expiry_ = 0;       // absolute; monotone across grants
-  std::uint64_t lease_grants_ = 0;
-  std::uint64_t gate_waits_ = 0;      // gates that actually suspended
 
   // --- fast-write state --------------------------------------------------
   bool fast_write_armed_ = false;  // armed lease grant applied (sticky)
@@ -480,18 +485,9 @@ class Replica {
   /// Slots found fast-pending by restart(); rejoin() reconciles them with
   /// peers before the main loop resumes.
   std::vector<Oid> fast_pending_at_restart_;
-  std::uint64_t fast_fence_waits_ = 0;
-  std::uint64_t fast_discards_ = 0;
-  std::uint64_t fast_repairs_ = 0;
-  std::uint64_t fast_adopted_ = 0;
-  std::uint64_t fast_rediscarded_ = 0;
 
   Tmp last_req_ = 0;       // Algorithm 1: tmp of the last request (delivered)
   Tmp last_executed_ = 0;  // highest tmp whose writes are applied locally
-  std::uint64_t executed_ = 0;
-  std::uint64_t skipped_ = 0;
-  std::uint64_t state_transfers_ = 0;
-  std::uint64_t transfers_served_ = 0;
   std::uint64_t statesync_serial_ = 0;
   bool in_state_transfer_ = false;
 
@@ -527,14 +523,7 @@ class Replica {
   /// Session-TTL tombstones: client id -> evicted floor (all seqs <= floor
   /// were executed before eviction). Persisted and transferred.
   std::map<std::uint32_t, std::uint64_t> evicted_sessions_;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t ckpt_deferred_ = 0;
-  std::uint64_t sessions_evicted_ = 0;
-  std::uint64_t stale_session_replies_ = 0;
   bool restored_from_checkpoint_ = false;
-  std::uint64_t restart_catchup_bytes_ = 0;  // applied during last rejoin
-  std::uint64_t xfer_applied_full_bytes_ = 0;
-  std::uint64_t xfer_applied_delta_bytes_ = 0;
 
   // Staging ring cursors (state-transfer receive side).
   std::vector<std::uint64_t> staging_next_;  // per sender rank
@@ -567,18 +556,6 @@ class Replica {
   std::uint64_t pull_serial_ = 0;  // our outgoing pull-word serial
   std::uint64_t pull_rr_ = 0;      // round-robin source pick for pulls
   std::vector<std::uint64_t> copy_next_;  // consumer cursor per source rank
-  // Telemetry-backed counters.
-  std::uint64_t copy_chunks_sent_ = 0;
-  std::uint64_t copy_chunks_received_ = 0;
-  std::uint64_t copy_chunks_corrupt_ = 0;
-  std::uint64_t copy_deferred_ = 0;
-  std::uint64_t copy_pulls_ = 0;
-  std::uint64_t copy_pulls_served_ = 0;
-  std::uint64_t wrong_epoch_replies_ = 0;
-  std::uint64_t quiesce_deferred_ = 0;
-  std::uint64_t migrated_out_ = 0;
-  std::uint64_t migrated_in_ = 0;
-  std::uint64_t ckpt_rejected_layout_ = 0;
 
   // Multi-threaded execution state (exec_threads > 1).
   std::vector<std::unique_ptr<sim::Cpu>> exec_cpus_;
@@ -587,49 +564,76 @@ class Replica {
   int inflight_ = 0;
   std::unique_ptr<sim::Notifier> exec_done_;
 
-  // Stats.
-  CoordStats coord_stats_;
+  // Stage latencies (sample lists; the registry histograms below are the
+  // opt-in binned copies).
   sim::LatencyRecorder ordering_lat_;
   sim::LatencyRecorder coord_lat_;
   sim::LatencyRecorder exec_lat_;
 
-  // Telemetry handles (see telemetry/hub.hpp), keyed by "g<g>.r<r>".
+  // Registry handles (see telemetry/hub.hpp), keyed by label_. The
+  // counters are the replica's only statistics store: the accessors above
+  // read them, and MetricsRegistry::reset_values clears them.
   telemetry::Hub* hub_;
-  telemetry::Counter* ctr_executed_;
-  telemetry::Counter* ctr_skipped_;
-  telemetry::Counter* ctr_addr_hits_;
-  telemetry::Counter* ctr_addr_misses_;
-  telemetry::Counter* ctr_remote_reads_;
-  telemetry::Counter* ctr_remote_retries_;
-  telemetry::Counter* ctr_lagging_;
-  telemetry::Counter* ctr_state_transfers_;
-  telemetry::Counter* ctr_transfers_served_;
-  telemetry::Counter* ctr_xfer_bytes_sent_;
-  telemetry::Counter* ctr_xfer_bytes_applied_;
-  telemetry::Counter* ctr_xfer_bytes_applied_full_;
-  telemetry::Counter* ctr_xfer_bytes_applied_delta_;
-  telemetry::Counter* ctr_checkpoints_;
-  telemetry::Counter* ctr_ckpt_deferred_;
-  telemetry::Counter* ctr_sessions_evicted_;
-  telemetry::Counter* ctr_stale_session_;
-  telemetry::Gauge* gauge_restart_delta_;
-  telemetry::Counter* ctr_dedup_hits_;
-  telemetry::Counter* ctr_shed_replies_;
-  telemetry::Counter* ctr_lease_grants_;
-  telemetry::Counter* ctr_gate_waits_;
-  telemetry::Counter* ctr_ordered_reads_;
-  telemetry::Counter* ctr_fast_fence_;
-  telemetry::Counter* ctr_fast_discards_;
-  telemetry::Counter* ctr_fast_repairs_;
-  telemetry::Counter* ctr_copy_chunks_;
-  telemetry::Counter* ctr_copy_corrupt_;
-  telemetry::Counter* ctr_copy_deferred_;
-  telemetry::Counter* ctr_copy_pulls_;
-  telemetry::Counter* ctr_wrong_epoch_;
-  telemetry::Counter* ctr_quiesce_;
-  telemetry::Histogram* hist_exec_;
-  telemetry::Histogram* hist_coord_;
-  telemetry::Histogram* hist_gate_wait_;
+  std::string label_;  // "g<g>.r<r>"
+  using Counter = telemetry::Counter;
+  using Histogram = telemetry::Histogram;
+  Counter* counter(const char* subsystem, const char* name) {
+    return &hub_->metrics.counter(subsystem, name, label_);
+  }
+  Histogram* histogram(const char* subsystem, const char* name) {
+    return &hub_->metrics.histogram(subsystem, name, label_);
+  }
+  Counter* ctr_executed_ = counter("core", "executed");
+  Counter* ctr_skipped_ = counter("core", "skipped");
+  Counter* ctr_addr_hits_ = counter("core", "addr_cache_hits");
+  Counter* ctr_addr_misses_ = counter("core", "addr_cache_misses");
+  Counter* ctr_remote_reads_ = counter("core", "remote_reads");
+  Counter* ctr_remote_retries_ = counter("core", "remote_read_retries");
+  Counter* ctr_lagging_ = counter("core", "lagging_detected");
+  Counter* ctr_state_transfers_ = counter("core", "state_transfers");
+  Counter* ctr_transfers_served_ = counter("core", "transfers_served");
+  Counter* ctr_xfer_bytes_sent_ = counter("core", "transfer_bytes_sent");
+  Counter* ctr_xfer_bytes_applied_ = counter("core", "transfer_bytes_applied");
+  Counter* ctr_xfer_bytes_applied_full_ =
+      counter("core", "transfer_bytes_applied_full");
+  Counter* ctr_xfer_bytes_applied_delta_ =
+      counter("core", "transfer_bytes_applied_delta");
+  Counter* ctr_checkpoints_ = counter("durable", "replica_checkpoints");
+  Counter* ctr_ckpt_deferred_ = counter("durable", "checkpoints_deferred");
+  Counter* ctr_sessions_evicted_ = counter("durable", "sessions_evicted");
+  Counter* ctr_stale_session_ = counter("durable", "stale_session_replies");
+  telemetry::Gauge* gauge_restart_delta_ =
+      &hub_->metrics.gauge("durable", "restart_delta_bytes", label_);
+  Counter* ctr_dedup_hits_ = counter("core", "session_dedup_hits");
+  Counter* ctr_shed_replies_ = counter("core", "shed_replies");
+  Counter* ctr_lease_grants_ = counter("core", "lease_grants");
+  Counter* ctr_gate_waits_ = counter("core", "gate_waits");
+  Counter* ctr_ordered_reads_ = counter("core", "ordered_reads");
+  Counter* ctr_fast_fence_ = counter("core", "fastwrite_fence_waits");
+  Counter* ctr_fast_discards_ = counter("core", "fastwrite_discards");
+  Counter* ctr_fast_repairs_ = counter("core", "fastwrite_repairs");
+  Counter* ctr_copy_chunks_ = counter("reconfig", "copy_chunks");
+  Counter* ctr_copy_corrupt_ = counter("reconfig", "copy_chunks_corrupt");
+  Counter* ctr_copy_deferred_ = counter("reconfig", "copy_deferred");
+  Counter* ctr_copy_pulls_ = counter("reconfig", "copy_pulls");
+  Counter* ctr_wrong_epoch_ = counter("reconfig", "wrong_epoch_replies");
+  Counter* ctr_quiesce_ = counter("reconfig", "quiesce_deferred");
+  Counter* ctr_coord_multi_ = counter("core", "coord_multi_partition");
+  Counter* ctr_coord_delayed_ = counter("core", "coord_delayed");
+  Counter* ctr_coord_gave_up_ = counter("core", "coord_gave_up");
+  Counter* ctr_coord_delay_ns_ = counter("core", "coord_delay_ns");
+  Counter* ctr_fast_adopted_ = counter("core", "fastwrite_reconciled_adopted");
+  Counter* ctr_fast_rediscarded_ =
+      counter("core", "fastwrite_reconciled_discarded");
+  Counter* ctr_ckpt_rejected_layout_ =
+      counter("durable", "checkpoints_rejected_layout");
+  Counter* ctr_copy_received_ = counter("reconfig", "copy_chunks_received");
+  Counter* ctr_copy_pulls_served_ = counter("reconfig", "copy_pulls_served");
+  Counter* ctr_migrated_out_ = counter("reconfig", "migrated_out");
+  Counter* ctr_migrated_in_ = counter("reconfig", "migrated_in");
+  Histogram* hist_exec_ = histogram("core", "exec_ns");
+  Histogram* hist_coord_ = histogram("core", "coord_ns");
+  Histogram* hist_gate_wait_ = histogram("core", "gate_wait_ns");
 
   sim::Rng rng_;
 };

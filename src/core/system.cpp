@@ -42,6 +42,8 @@ void System::start() {
         by_id_.resize(ep.client_id() + 1, nullptr);
       }
       by_id_[ep.client_id()] = nullptr;  // internal: no reply slot
+      renewals_skipped_.push_back(&fabric().telemetry().metrics.counter(
+          "core", "lease_renewals_skipped", "g" + std::to_string(g)));
       simulator().spawn(lease_manager_loop(ep, g));
     }
   }
@@ -56,8 +58,7 @@ sim::Task<void> System::lease_manager_loop(amcast::ClientEndpoint& ep,
   // against pathological durations: see kMinLeaseRenewPeriod.
   const sim::Nanos period =
       std::max(kMinLeaseRenewPeriod, config_.lease_duration / 2);
-  auto* ctr_skipped = &fabric().telemetry().metrics.counter(
-      "core", "lease_renewals_skipped", "g" + std::to_string(g));
+  auto* ctr_skipped = renewals_skipped_[static_cast<std::size_t>(g)];
   for (;;) {
     // Backpressure gate: while the partition's fabric neighborhood is
     // congested, stop feeding it lease markers. The current lease rides
@@ -72,7 +73,6 @@ sim::Task<void> System::lease_manager_loop(amcast::ClientEndpoint& ep,
         worst = std::max(worst, fabric().uplink_backlog(node.id()));
       }
       if (worst > config_.lease_backpressure_threshold) {
-        ++lease_renewals_skipped_;
         ctr_skipped->inc();
         co_await sim.sleep(period);
         continue;
@@ -222,6 +222,12 @@ Client& System::add_client() {
   return *clients_.back();
 }
 
+std::uint64_t System::lease_renewals_skipped() const {
+  std::uint64_t total = 0;
+  for (const auto* c : renewals_skipped_) total += c->value();
+  return total;
+}
+
 std::uint64_t System::total_completed() const {
   std::uint64_t total = 0;
   for (const auto& c : clients_) total += c->completed();
@@ -229,12 +235,13 @@ std::uint64_t System::total_completed() const {
 }
 
 void System::reset_stats() {
-  for (auto& r : replicas_) r->reset_stats();
-  for (auto& c : clients_) c->reset_stats();
-  // System-level accumulators are part of the same warm-up window as the
-  // per-replica/per-client stats (missing this one skewed every
-  // backpressure report that reset after a warm-up phase).
-  lease_renewals_skipped_ = 0;
+  fabric().telemetry().metrics.reset_values();
+  for (auto& r : replicas_) {
+    r->ordering_lat().clear();
+    r->coord_lat().clear();
+    r->exec_lat().clear();
+  }
+  for (auto& c : clients_) c->latencies().clear();
 }
 
 Client::Client(System& system, amcast::ClientEndpoint& ep)
@@ -242,29 +249,11 @@ Client::Client(System& system, amcast::ClientEndpoint& ep)
       ep_(&ep),
       rng_(system.fabric().seed() ^
            (0x9e3779b97f4a7c15ULL * (ep.client_id() + 1))),
-      layout_(system.initial_layout()) {
+      layout_(system.initial_layout()),
+      metrics_(&system.fabric().telemetry().metrics),
+      label_("c" + std::to_string(ep.client_id())) {
   reply_mr_ = ep.node().register_region(
       static_cast<std::size_t>(system.partitions()) * sizeof(ReplySlot));
-  auto& hub = system.fabric().telemetry();
-  const std::string label = "c" + std::to_string(ep.client_id());
-  ctr_retries_ = &hub.metrics.counter("client", "retries", label);
-  ctr_timeouts_ = &hub.metrics.counter("client", "timeouts", label);
-  ctr_busy_ = &hub.metrics.counter("client", "busy_replies", label);
-  ctr_fast_hits_ = &hub.metrics.counter("core", "fastread_hits", label);
-  ctr_fast_torn_ = &hub.metrics.counter("core", "fastread_torn_retries", label);
-  ctr_fast_fallbacks_ =
-      &hub.metrics.counter("core", "fastread_fallbacks", label);
-  ctr_fast_lease_rejects_ =
-      &hub.metrics.counter("core", "fastread_lease_rejects", label);
-  ctr_fastw_commits_ = &hub.metrics.counter("core", "fastwrite_commits", label);
-  ctr_fastw_conflicts_ =
-      &hub.metrics.counter("core", "fastwrite_conflicts", label);
-  ctr_fastw_fallbacks_ =
-      &hub.metrics.counter("core", "fastwrite_fallbacks", label);
-  ctr_fastw_lease_rejects_ =
-      &hub.metrics.counter("core", "fastwrite_lease_rejects", label);
-  ctr_wrong_epoch_ =
-      &hub.metrics.counter("reconfig", "client_wrong_epoch", label);
 }
 
 bool Client::apply_wrong_epoch(const Reply& reply) {
@@ -298,19 +287,19 @@ sim::Task<Client::Result> Client::submit_routed(
   Result result;
   for (int hop = 0;; ++hop) {
     const GroupId home = layout_.enabled() ? layout_.owner_of(oid) : fallback;
-    result = co_await submit(amcast::dst_of(home), kind, payload, flags);
+    result = co_await submit_uncounted(amcast::dst_of(home), kind, payload,
+                                       flags);
     if (result.status != SubmitStatus::kOk ||
         result.reply.status != kStatusWrongEpoch || hop >= kMaxHops) {
+      if (result.status == SubmitStatus::kOk) ctr_completed_->inc();
       co_return result;
     }
     // The rejecting replica neither executed nor session-marked the
     // command, so replaying it under the SAME session_seq against the
     // new owner preserves exactly-once (and dedups if the range's old
     // owner executed it before the flip — the session migrated too).
-    // The bounced hop is not a completed command; undo submit's count.
-    --completed_;
+    // The bounced hop is not a completed command, so it was not counted.
     apply_wrong_epoch(result.reply);
-    ++wrong_epoch_retries_;
     ctr_wrong_epoch_->inc();
     session_seq_ = result.session_seq - 1;
   }
@@ -319,6 +308,14 @@ sim::Task<Client::Result> Client::submit_routed(
 sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
                                          std::span<const std::byte> payload,
                                          std::uint32_t flags) {
+  Result result = co_await submit_uncounted(dst, kind, payload, flags);
+  if (result.status == SubmitStatus::kOk) ctr_completed_->inc();
+  co_return result;
+}
+
+sim::Task<Client::Result> Client::submit_uncounted(
+    DstMask dst, std::uint32_t kind, std::span<const std::byte> payload,
+    std::uint32_t flags) {
   if (in_flight_) {
     throw std::logic_error(
         "core::Client::submit: overlapping submit on client " +
@@ -362,7 +359,6 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
     const amcast::MsgUid uid = co_await ep_->multicast(dst, wire);
     attempt_uids.push_back(uid);
     if (attempt > 0) {
-      ++retries_;
       ctr_retries_->inc();
     }
     if (system_->attempt_observer()) {
@@ -415,7 +411,6 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
         break;  // lowest-id partition's reply
       }
       if (done) break;
-      ++busy_replies_;
       ctr_busy_->inc();
     } else {
       last_was_busy = false;
@@ -440,15 +435,12 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
   result.latency = sim.now() - start;
   if (done) {
     result.status = SubmitStatus::kOk;
-    ++completed_;
     latencies_.record(result.latency);
   } else if (last_was_busy) {
     result.status = SubmitStatus::kOverloaded;
-    ++overloaded_;
-    ctr_timeouts_->inc();
+    ctr_overloaded_->inc();
   } else {
     result.status = SubmitStatus::kTimeout;
-    ++timeouts_;
     ctr_timeouts_->inc();
   }
   if (system_->outcome_observer()) {
@@ -498,7 +490,6 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
         const auto lease = rdma::load_pod<LeaseWord>(
             std::span<const std::byte>(lease_buf), 0);
         if (lease.epoch == 0 || lease.expiry <= sim.now()) {
-          ++fastread_lease_rejects_;
           ctr_fast_lease_rejects_->inc();
         } else {
           // READ 2 (+ retries): the object slot. A torn (odd) seqlock
@@ -520,12 +511,10 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
             }
             const SlotView view = SlotView::parse(slot_buf);
             if (view.torn()) {
-              ++fastread_torn_retries_;
               ctr_fast_torn_->inc();
               continue;
             }
             const auto [tmp, value] = view.current();
-            ++fastread_hits_;
             ctr_fast_hits_->inc();
             ReadResult res;
             res.fast = true;
@@ -544,7 +533,6 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
   // Linearizable because the replica answers it in stream order, after
   // every earlier write's gate completed. The reply carries the slot
   // address and re-seeds the fast-read cache.
-  ++fastread_fallbacks_;
   ctr_fast_fallbacks_->inc();
   ReadResult res;
   Result sub =
@@ -563,7 +551,6 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
     // through: the 32-byte WrongEpochWire would pass the ReadAnswerWire
     // size check and seed a garbage FastLoc into the cache.
     apply_wrong_epoch(sub.reply);
-    ++wrong_epoch_retries_;
     ctr_wrong_epoch_->inc();
     session_seq_ = sub.session_seq - 1;
     continue;
@@ -928,9 +915,8 @@ sim::Task<Client::WriteResult> Client::write(
           rdma::pod_bytes(static_cast<std::uint64_t>(fast_tmp)));
     }
 
-    ++fastwrite_commits_;
     ctr_fastw_commits_->inc();
-    ++completed_;
+    ctr_completed_->inc();
     res.fast = true;
     res.tmp = fast_tmp;
     res.base_tmp = base;
@@ -944,13 +930,10 @@ sim::Task<Client::WriteResult> Client::write(
   // including any this attempt's partial one-sided traffic reached —
   // before the new value commits.
   res.fallback_reason = reason;
-  ++fastwrite_fallbacks_;
   ctr_fastw_fallbacks_->inc();
   if (reason == kFastWriteConflict) {
-    ++fastwrite_conflicts_;
     ctr_fastw_conflicts_->inc();
   } else if (reason == kFastWriteNoLease) {
-    ++fastwrite_lease_rejects_;
     ctr_fastw_lease_rejects_->inc();
   }
   const Result sub = co_await submit_routed(oid, home, kind, ordered_payload);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -145,15 +146,23 @@ class Client {
   [[nodiscard]] std::uint32_t id() const { return ep_->client_id(); }
   [[nodiscard]] rdma::Node& node() { return ep_->node(); }
   [[nodiscard]] rdma::MrId reply_mr() const { return reply_mr_; }
-  [[nodiscard]] std::uint64_t completed() const { return completed_; }
+  [[nodiscard]] std::uint64_t completed() const {
+    return ctr_completed_->value();
+  }
   [[nodiscard]] sim::LatencyRecorder& latencies() { return latencies_; }
 
-  // Lifecycle stats (kept outside telemetry so tests can read them
-  // without enabling the metrics registry).
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
-  [[nodiscard]] std::uint64_t overloaded() const { return overloaded_; }
-  [[nodiscard]] std::uint64_t busy_replies() const { return busy_replies_; }
+  // Lifecycle stats. Every counter here reads its registry counter
+  // (subsystems "client", "core" and "reconfig", label "c<id>").
+  [[nodiscard]] std::uint64_t retries() const { return ctr_retries_->value(); }
+  [[nodiscard]] std::uint64_t timeouts() const {
+    return ctr_timeouts_->value();
+  }
+  [[nodiscard]] std::uint64_t overloaded() const {
+    return ctr_overloaded_->value();
+  }
+  [[nodiscard]] std::uint64_t busy_replies() const {
+    return ctr_busy_->value();
+  }
   [[nodiscard]] bool in_flight() const { return in_flight_; }
 
   // Fast-read path stats.
@@ -164,29 +173,31 @@ class Client {
     if (it == fastread_cache_.end()) return std::nullopt;
     return it->second.rank;
   }
-  [[nodiscard]] std::uint64_t fastread_hits() const { return fastread_hits_; }
+  [[nodiscard]] std::uint64_t fastread_hits() const {
+    return ctr_fast_hits_->value();
+  }
   [[nodiscard]] std::uint64_t fastread_torn_retries() const {
-    return fastread_torn_retries_;
+    return ctr_fast_torn_->value();
   }
   [[nodiscard]] std::uint64_t fastread_fallbacks() const {
-    return fastread_fallbacks_;
+    return ctr_fast_fallbacks_->value();
   }
   [[nodiscard]] std::uint64_t fastread_lease_rejects() const {
-    return fastread_lease_rejects_;
+    return ctr_fast_lease_rejects_->value();
   }
 
   // Fast-write path stats.
   [[nodiscard]] std::uint64_t fastwrite_commits() const {
-    return fastwrite_commits_;
+    return ctr_fastw_commits_->value();
   }
   [[nodiscard]] std::uint64_t fastwrite_conflicts() const {
-    return fastwrite_conflicts_;
+    return ctr_fastw_conflicts_->value();
   }
   [[nodiscard]] std::uint64_t fastwrite_fallbacks() const {
-    return fastwrite_fallbacks_;
+    return ctr_fastw_fallbacks_->value();
   }
   [[nodiscard]] std::uint64_t fastwrite_lease_rejects() const {
-    return fastwrite_lease_rejects_;
+    return ctr_fastw_lease_rejects_->value();
   }
 
   // Reconfiguration-side stats / hooks (heron::reconfig).
@@ -194,7 +205,7 @@ class Client {
   /// layout, advanced by kStatusWrongEpoch replies).
   [[nodiscard]] const reconfig::Layout& layout() const { return layout_; }
   [[nodiscard]] std::uint64_t wrong_epoch_retries() const {
-    return wrong_epoch_retries_;
+    return ctr_wrong_epoch_->value();
   }
   /// Test hook: the layout epoch a cached fast-read entry was seeded
   /// under (nullopt when cold).
@@ -205,20 +216,6 @@ class Client {
     return it->second.epoch;
   }
 
-  /// Clears every accumulated statistic; configuration-like state (the
-  /// cached layout, the fast-read address cache, session_seq_) survives —
-  /// resetting those would change behaviour, not accounting.
-  void reset_stats() {
-    completed_ = 0;
-    retries_ = timeouts_ = overloaded_ = busy_replies_ = 0;
-    fastread_hits_ = fastread_torn_retries_ = fastread_fallbacks_ =
-        fastread_lease_rejects_ = 0;
-    fastwrite_commits_ = fastwrite_conflicts_ = fastwrite_fallbacks_ =
-        fastwrite_lease_rejects_ = 0;
-    wrong_epoch_retries_ = 0;
-    latencies_.clear();
-  }
-
   /// Test hook: rewinds the session counter so the next submit reuses an
   /// already-issued session_seq — models a client resending an old
   /// command (e.g. after its session was TTL-evicted server-side).
@@ -226,17 +223,18 @@ class Client {
   [[nodiscard]] std::uint64_t session_seq() const { return session_seq_; }
 
  private:
+  /// submit() without counting the completion: submit_routed counts only
+  /// the hop that was not bounced by a wrong-epoch reply.
+  sim::Task<Result> submit_uncounted(DstMask dst, std::uint32_t kind,
+                                     std::span<const std::byte> payload,
+                                     std::uint32_t flags);
+
   System* system_;
   amcast::ClientEndpoint* ep_;
   rdma::MrId reply_mr_{};
   bool in_flight_ = false;
   std::uint64_t session_seq_ = 0;  // last issued logical command number
   sim::Rng rng_;                   // backoff jitter, forked off the fabric seed
-  std::uint64_t completed_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;     // kTimeout outcomes
-  std::uint64_t overloaded_ = 0;   // kOverloaded outcomes
-  std::uint64_t busy_replies_ = 0; // BUSY answers observed (pre-backoff)
   sim::LatencyRecorder latencies_;
 
   /// Per-oid fast-read address cache, seeded by ordered-read replies.
@@ -258,10 +256,6 @@ class Client {
     bool serialized = false;
   };
   std::unordered_map<Oid, FastLoc> fastread_cache_;
-  std::uint64_t fastread_hits_ = 0;
-  std::uint64_t fastread_torn_retries_ = 0;
-  std::uint64_t fastread_fallbacks_ = 0;
-  std::uint64_t fastread_lease_rejects_ = 0;
 
   /// Shared state of one fast-write attempt's per-replica fan-out
   /// (defined in system.cpp; the helpers below each own one replica).
@@ -275,30 +269,36 @@ class Client {
   sim::Task<void> fast_write_verify(GroupId home, int rank, Oid oid,
                                     FastLoc loc, Tmp fast_tmp, Tmp base,
                                     FastWriteRound* st);
-  std::uint64_t fastwrite_commits_ = 0;
-  std::uint64_t fastwrite_conflicts_ = 0;
-  std::uint64_t fastwrite_fallbacks_ = 0;
-  std::uint64_t fastwrite_lease_rejects_ = 0;
 
   /// Applies a kStatusWrongEpoch reply: advances layout_ (when the wire
   /// epoch is newer) and evicts every fast-read cache entry seeded under
   /// an older layout. Returns false on a malformed payload.
   bool apply_wrong_epoch(const Reply& reply);
   reconfig::Layout layout_;
-  std::uint64_t wrong_epoch_retries_ = 0;
 
-  telemetry::Counter* ctr_retries_;
-  telemetry::Counter* ctr_timeouts_;
-  telemetry::Counter* ctr_busy_;
-  telemetry::Counter* ctr_fast_hits_;
-  telemetry::Counter* ctr_fast_torn_;
-  telemetry::Counter* ctr_fast_fallbacks_;
-  telemetry::Counter* ctr_fast_lease_rejects_;
-  telemetry::Counter* ctr_fastw_commits_;
-  telemetry::Counter* ctr_fastw_conflicts_;
-  telemetry::Counter* ctr_fastw_fallbacks_;
-  telemetry::Counter* ctr_fastw_lease_rejects_;
-  telemetry::Counter* ctr_wrong_epoch_;
+  // Registry handles, keyed by label_: the client's only statistics
+  // store (the stats accessors above read them).
+  telemetry::MetricsRegistry* metrics_;
+  std::string label_;  // "c<id>"
+  using Counter = telemetry::Counter;
+  Counter* counter(const char* subsystem, const char* name) {
+    return &metrics_->counter(subsystem, name, label_);
+  }
+  Counter* ctr_completed_ = counter("client", "completed");
+  Counter* ctr_retries_ = counter("client", "retries");
+  Counter* ctr_timeouts_ = counter("client", "timeouts");
+  Counter* ctr_overloaded_ = counter("client", "overloaded");
+  Counter* ctr_busy_ = counter("client", "busy_replies");
+  Counter* ctr_fast_hits_ = counter("core", "fastread_hits");
+  Counter* ctr_fast_torn_ = counter("core", "fastread_torn_retries");
+  Counter* ctr_fast_fallbacks_ = counter("core", "fastread_fallbacks");
+  Counter* ctr_fast_lease_rejects_ = counter("core", "fastread_lease_rejects");
+  Counter* ctr_fastw_commits_ = counter("core", "fastwrite_commits");
+  Counter* ctr_fastw_conflicts_ = counter("core", "fastwrite_conflicts");
+  Counter* ctr_fastw_fallbacks_ = counter("core", "fastwrite_fallbacks");
+  Counter* ctr_fastw_lease_rejects_ =
+      counter("core", "fastwrite_lease_rejects");
+  Counter* ctr_wrong_epoch_ = counter("reconfig", "client_wrong_epoch");
 };
 
 class System {
@@ -358,9 +358,10 @@ class System {
   [[nodiscard]] std::uint64_t total_completed() const;
   /// Lease renewal periods skipped by the backpressure gate (see
   /// HeronConfig::lease_backpressure_threshold).
-  [[nodiscard]] std::uint64_t lease_renewals_skipped() const {
-    return lease_renewals_skipped_;
-  }
+  [[nodiscard]] std::uint64_t lease_renewals_skipped() const;
+  /// Starts a measurement window: zeroes every registry metric of the
+  /// fabric's hub (this system's counters included) and clears the
+  /// replicas' stage and the clients' end-to-end latency samples.
   void reset_stats();
 
   // --- heron::reconfig: elastic repartitioning --------------------------
@@ -458,7 +459,9 @@ class System {
   reconfig::Layout layout_;   // controller's current layout
   std::uint64_t reconfig_tickets_issued_ = 0;  // migration serialization
   std::uint64_t reconfig_tickets_done_ = 0;
-  std::uint64_t lease_renewals_skipped_ = 0;  // backpressure-gated renewals
+  /// Backpressure-gated lease renewals, one registry counter per partition
+  /// (registered by start() when leases are on).
+  std::vector<telemetry::Counter*> renewals_skipped_;
   std::vector<MigrationTimes> migration_times_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<std::unique_ptr<Client>> clients_;

@@ -104,13 +104,11 @@ CheckpointStore::CheckpointStore(sim::Simulator& sim, telemetry::Hub* hub,
                                  const DurableConfig& cfg,
                                  const std::string& label)
     : sim_(&sim), cfg_(cfg), dev_(sim, hub, cfg.device, label) {
-  if (hub != nullptr) {
-    auto& m = hub->metrics;
-    ctr_checkpoints_ = &m.counter("durable", "checkpoints", label);
-    ctr_full_checkpoints_ = &m.counter("durable", "full_checkpoints", label);
-    ctr_aborted_ = &m.counter("durable", "aborted_checkpoints", label);
-    ctr_pages_freed_ = &m.counter("durable", "pages_freed", label);
-  }
+  auto& m = hub != nullptr ? hub->metrics : own_metrics_;
+  ctr_checkpoints_ = &m.counter("durable", "checkpoints", label);
+  ctr_full_checkpoints_ = &m.counter("durable", "full_checkpoints", label);
+  ctr_aborted_ = &m.counter("durable", "aborted_checkpoints", label);
+  ctr_pages_freed_ = &m.counter("durable", "pages_freed", label);
 }
 
 std::uint32_t CheckpointStore::page_payload_capacity() const {
@@ -144,10 +142,7 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
   std::vector<std::uint64_t> fresh;
   const auto give_up = [&](bool count_abort) {
     for (const std::uint64_t p : fresh) free_page(p);
-    if (count_abort) {
-      ++aborted_;
-      if (ctr_aborted_ != nullptr) ctr_aborted_->inc();
-    }
+    if (count_abort) ctr_aborted_->inc();
   };
 
   // --- pack records into data-page payloads ----------------------------
@@ -268,7 +263,7 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
       free_page(p);
       ++freed;
     }
-    if (ctr_pages_freed_ != nullptr) ctr_pages_freed_->inc(freed);
+    ctr_pages_freed_->inc(freed);
     chain_pages_.clear();
     index_.clear();
   }
@@ -278,12 +273,8 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
       index_[l.key] = RecordLoc{entries[i].page, l.offset, l.flags, l.tmp};
     }
   }
-  ++checkpoints_;
-  if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
-  if (full) {
-    ++fulls_;
-    if (ctr_full_checkpoints_ != nullptr) ctr_full_checkpoints_->inc();
-  }
+  ctr_checkpoints_->inc();
+  if (full) ctr_full_checkpoints_->inc();
   co_return true;
 }
 

@@ -33,7 +33,8 @@ std::uint32_t crc32(std::span<const std::byte> bytes);
 
 class PageDevice {
  public:
-  /// `hub` may be null (unit tests); `label` keys the telemetry series.
+  /// `hub` may be null (unit tests): the device then records into a
+  /// registry of its own. `label` keys the telemetry series.
   PageDevice(sim::Simulator& sim, telemetry::Hub* hub,
              const DeviceConfig& cfg, const std::string& label);
 
@@ -54,10 +55,15 @@ class PageDevice {
 
   [[nodiscard]] std::uint32_t page_bytes() const { return cfg_.page_bytes; }
   [[nodiscard]] std::uint64_t page_count() const { return cfg_.page_count; }
-  [[nodiscard]] std::uint64_t pages_written() const { return pages_written_; }
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
-  [[nodiscard]] std::uint64_t pages_read() const { return pages_read_; }
-  [[nodiscard]] std::uint64_t crc_failures() const { return crc_failures_; }
+  [[nodiscard]] std::uint64_t pages_written() const {
+    return ctr_pages_written_->value();
+  }
+  [[nodiscard]] std::uint64_t pages_read() const {
+    return ctr_pages_read_->value();
+  }
+  [[nodiscard]] std::uint64_t crc_failures() const {
+    return ctr_crc_failures_->value();
+  }
 
  private:
   struct Page {
@@ -77,17 +83,12 @@ class PageDevice {
   sim::Nanos free_at_ = 0;
   bool tear_next_ = false;
 
-  std::uint64_t pages_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint64_t pages_read_ = 0;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t crc_failures_ = 0;
-
-  telemetry::Counter* ctr_pages_written_ = nullptr;
-  telemetry::Counter* ctr_bytes_written_ = nullptr;
-  telemetry::Counter* ctr_pages_read_ = nullptr;
-  telemetry::Counter* ctr_bytes_read_ = nullptr;
-  telemetry::Counter* ctr_crc_failures_ = nullptr;
+  telemetry::MetricsRegistry own_metrics_;  // records here when hub-less
+  telemetry::Counter* ctr_pages_written_;
+  telemetry::Counter* ctr_bytes_written_;
+  telemetry::Counter* ctr_pages_read_;
+  telemetry::Counter* ctr_bytes_read_;
+  telemetry::Counter* ctr_crc_failures_;
 };
 
 }  // namespace heron::durable

@@ -95,11 +95,16 @@ std::vector<Violation> LinearChecker::check(
     // `before` anchors disambiguation: the time the version was observed
     // (a read's completion, or the dependent fast write's invocation).
     // A fast tmp with no note resolves to itself — membership flags it.
-    auto ordkey = [&resolve](core::Tmp tmp, sim::Nanos before) {
+    // A chain has at most one link per recorded fast write, which bounds
+    // the walk without capping legitimately long chains.
+    const std::size_t max_links =
+        fast_writes_.contains(key) ? fast_writes_.at(key).size() : 0;
+    auto ordkey = [&resolve, max_links](core::Tmp tmp, sim::Nanos before) {
       OrdKey k;
       core::Tmp t = tmp;
       sim::Nanos at = before;
-      for (int guard = 0; core::is_fast_tmp(t) && guard < 64; ++guard) {
+      for (std::size_t links = 0; core::is_fast_tmp(t) && links < max_links;
+           ++links) {
         const FastWriteOp* f = resolve(t, at);
         if (f == nullptr) break;
         k.push_back(static_cast<std::uint64_t>(f->completed_at));

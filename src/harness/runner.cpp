@@ -56,10 +56,9 @@ sim::Task<void> TpccCluster::client_loop(
 
 RunResult TpccCluster::run(sim::Nanos warmup, sim::Nanos duration) {
   sim_.run_for(warmup);
-  sys_->reset_stats();
   // Telemetry measures the same window as the latency samples: drop
   // whatever accumulated during warmup (or a previous window).
-  fabric_.telemetry().metrics.reset_values();
+  sys_->reset_stats();
   fabric_.telemetry().tracer.clear();
   samples_.clear();
   recording_ = true;

@@ -26,35 +26,29 @@ Fabric::Fabric(sim::Simulator& sim, LatencyModel model, std::uint64_t seed)
       model_(model),
       seed_(seed),
       rng_(seed),
-      hub_(std::make_unique<telemetry::Hub>(sim)) {
-  auto& m = hub_->metrics;
-  ctr_reads_ = &m.counter("rdma", "read_ops");
-  ctr_writes_ = &m.counter("rdma", "write_ops");
-  ctr_writes_async_ = &m.counter("rdma", "write_async_ops");
-  ctr_read_bytes_ = &m.counter("rdma", "read_bytes");
-  ctr_write_bytes_ = &m.counter("rdma", "write_bytes");
-  ctr_errors_ = &m.counter("rdma", "completion_errors");
-  ctr_bad_addr_ = &m.counter("rdma", "bad_address");
-  ctr_credit_stalls_ = &m.counter("rdma", "credit_stalls");
-  ctr_uplink_queued_ = &m.counter("rdma", "uplink_queued");
-  ctr_priority_ops_ = &m.counter("rdma", "priority_ops");
-  ctr_injected_ = &m.counter("rdma", "injected_ops");
-  hist_queue_wait_ = &m.histogram("rdma", "nic_queue_wait_ns");
-  hist_credit_wait_ = &m.histogram("rdma", "credit_wait_ns");
-  hist_uplink_wait_ = &m.histogram("rdma", "uplink_wait_ns");
+      hub_(std::make_unique<telemetry::Hub>(sim)) {}
+
+FabricStats Fabric::stats() const {
+  return FabricStats{
+      .reads = ctr_reads_->value(),
+      .writes = ctr_writes_->value() + ctr_writes_async_->value(),
+      .read_bytes = ctr_read_bytes_->value(),
+      .write_bytes = ctr_write_bytes_->value(),
+      .failures = ctr_errors_->value() + ctr_bad_addr_->value(),
+      .credit_stalls = ctr_credit_stalls_->value(),
+      .uplink_queued = ctr_uplink_queued_->value(),
+      .priority_ops = ctr_priority_ops_->value(),
+      .injected_ops = ctr_injected_->value(),
+      .injected_bytes = ctr_injected_bytes_->value(),
+  };
 }
 
 void Fabric::reset_stats() {
-  stats_ = {};
-  hist_queue_wait_->reset();
-  hist_credit_wait_->reset();
-  hist_uplink_wait_->reset();
+  hub_->metrics.reset_values("rdma");
   for (RackLink& link : racks_) {
     link.bytes = 0;
     link.busy_ns = 0;
   }
-  std::fill(credit_stalls_by_node_.begin(), credit_stalls_by_node_.end(),
-            std::uint64_t{0});
 }
 
 sim::Nanos Fabric::jitter(sim::Nanos base) {
@@ -133,7 +127,6 @@ sim::Nanos Fabric::link_transit(std::int32_t initiator, std::int32_t target,
   const sim::Nanos hop = jitter(model_.tor_hop);
   if (model_.priority_lanes && lane == Lane::kControl) {
     // QoS class: skips the FIFO, pays only the switch hop.
-    ++stats_.priority_ops;
     ctr_priority_ops_->inc();
     return ready + hop;
   }
@@ -145,7 +138,6 @@ sim::Nanos Fabric::link_transit(std::int32_t initiator, std::int32_t target,
   const sim::Nanos start = std::max({ready, su.free_at, du.free_at});
   const sim::Nanos wait = start - ready;
   if (wait > 0) {
-    ++stats_.uplink_queued;
     ctr_uplink_queued_->inc();
     hist_uplink_wait_->observe(wait);
   }
@@ -207,7 +199,6 @@ std::size_t Fabric::credit_queue_depth(std::int32_t node_id) const {
 }
 
 void Fabric::note_credit_stall(std::int32_t initiator) {
-  ++stats_.credit_stalls;
   ctr_credit_stalls_->inc();
   const auto i = static_cast<std::size_t>(initiator);
   if (credit_stalls_by_node_.size() <= i) {
@@ -249,8 +240,6 @@ void Fabric::release_credit(Qp& qp, bool gated) {
 
 sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
                                    std::span<std::byte> out, Lane lane) {
-  ++stats_.reads;
-  stats_.read_bytes += out.size();
   ctr_reads_->inc();
   ctr_read_bytes_->inc(out.size());
   auto span = hub_->tracer.span("rdma", "read", initiator);
@@ -259,7 +248,6 @@ sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
 
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset, out.size())) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     span.arg("bad_address", 1);
     co_return Completion{Status::kBadAddress};
@@ -281,7 +269,6 @@ sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
   if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
 
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     span.arg("wc_error", 1);
     const sim::Nanos err_at = departed + model_.failure_detect;
@@ -308,8 +295,6 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
                                   std::uint64_t desired,
                                   std::uint64_t* observed, Lane lane) {
   // Atomics ride the READ timing path: tiny request out, old value back.
-  ++stats_.reads;
-  stats_.read_bytes += sizeof(std::uint64_t);
   ctr_reads_->inc();
   ctr_read_bytes_->inc(sizeof(std::uint64_t));
   auto span = hub_->tracer.span("rdma", "cas", initiator);
@@ -318,7 +303,6 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset,
                  sizeof(std::uint64_t))) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     span.arg("bad_address", 1);
     co_return Completion{Status::kBadAddress};
@@ -339,7 +323,6 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
   if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
 
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     span.arg("wc_error", 1);
     const sim::Nanos err_at = departed + model_.failure_detect;
@@ -375,7 +358,6 @@ void Fabric::deliver_write(std::int32_t target_id, RAddr addr,
                            std::vector<std::byte> data) {
   Node& target = node(target_id);
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     hub_->tracer.instant(
         "rdma", "write_dropped", target_id,
@@ -392,8 +374,6 @@ void Fabric::deliver_write(std::int32_t target_id, RAddr addr,
 sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
                                     std::span<const std::byte> data,
                                     Lane lane) {
-  ++stats_.writes;
-  stats_.write_bytes += data.size();
   ctr_writes_->inc();
   ctr_write_bytes_->inc(data.size());
   auto span = hub_->tracer.span("rdma", "write", initiator);
@@ -402,7 +382,6 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
 
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset, data.size())) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     span.arg("bad_address", 1);
     co_return Completion{Status::kBadAddress};
@@ -427,7 +406,6 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
   release_credit(qp_for(initiator, addr.node, lane), gated);
 
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     span.arg("wc_error", 1);
     const sim::Nanos err_at = departed + model_.failure_detect;
@@ -443,14 +421,11 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
 
 void Fabric::write_async(std::int32_t initiator, RAddr addr,
                          std::span<const std::byte> data, Lane lane) {
-  ++stats_.writes;
-  stats_.write_bytes += data.size();
   ctr_writes_async_->inc();
   ctr_write_bytes_->inc(data.size());
 
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset, data.size())) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     hub_->tracer.instant("rdma", "write_async_bad_address", initiator,
                          {telemetry::Arg{"target",
@@ -498,9 +473,8 @@ void Fabric::write_async(std::int32_t initiator, RAddr addr,
 
 void Fabric::inject_flow(std::int32_t initiator, std::int32_t target,
                          std::uint64_t bytes, Lane lane) {
-  ++stats_.injected_ops;
-  stats_.injected_bytes += bytes;
   ctr_injected_->inc();
+  ctr_injected_bytes_->inc(bytes);
 
   const bool gated = credit_gated(lane);
   with_credit(qp_for(initiator, target, lane), gated, initiator,

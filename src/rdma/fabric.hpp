@@ -129,7 +129,8 @@ struct LatencyModel {
   }
 };
 
-/// Counters for substrate-level reporting.
+/// By-value snapshot of the fabric's registry counters (subsystem "rdma")
+/// for substrate-level reporting.
 struct FabricStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -157,12 +158,13 @@ class Fabric {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] const LatencyModel& model() const { return model_; }
   [[nodiscard]] LatencyModel& model() { return model_; }
-  [[nodiscard]] const FabricStats& stats() const { return stats_; }
-  /// Clears the counters AND the fabric-owned telemetry series (queue-wait
-  /// / credit-wait / uplink-wait histograms, per-rack byte and busy
-  /// accumulators) so a bench that resets between warmup and measurement
+  [[nodiscard]] FabricStats stats() const;
+  /// Clears the fabric's registry metrics (counters and the queue-wait /
+  /// credit-wait / uplink-wait histograms) and the per-rack byte and busy
+  /// accumulators, so a bench that resets between warmup and measurement
   /// reports only the measured window. Live queuing state (NIC free
-  /// times, uplink FIFOs, outstanding credits) is untouched.
+  /// times, uplink FIFOs, outstanding credits) and the per-node credit
+  /// stall counts that adaptive admission reads are untouched.
   void reset_stats();
 
   /// The telemetry hub shared by every layer attached to this fabric
@@ -243,8 +245,10 @@ class Fabric {
   /// Cumulative occupancy of a rack's uplink in ns (utilization =
   /// busy_ns / window).
   [[nodiscard]] std::uint64_t uplink_busy_ns(int rack) const;
-  /// Credit-queue stalls charged to verbs initiated by `node_id` (since
-  /// last reset_stats) — the starvation half of the backpressure signal.
+  /// Credit-queue stalls charged to verbs initiated by `node_id` since the
+  /// fabric was built — the starvation half of the backpressure signal.
+  /// Monotone: adaptive admission differences successive samples, so no
+  /// stats reset clears it.
   [[nodiscard]] std::uint64_t credit_stalls(std::int32_t node_id) const;
   /// Verbs currently waiting in software credit queues out of `node_id`.
   [[nodiscard]] std::size_t credit_queue_depth(std::int32_t node_id) const;
@@ -356,13 +360,12 @@ class Fabric {
   LatencyModel model_;
   std::uint64_t seed_;
   sim::Rng rng_;
-  FabricStats stats_;
   std::unique_ptr<telemetry::Hub> hub_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::tuple<std::int32_t, std::int32_t, std::uint8_t>, Qp> qps_;
   std::map<std::int32_t, sim::Nanos> nic_free_at_;  // send-side serialization
   std::vector<RackLink> racks_;                     // lazily sized
-  std::vector<std::uint64_t> credit_stalls_by_node_;
+  std::vector<std::uint64_t> credit_stalls_by_node_;  // protocol input
 
   // Perturbation state (see the faultlab hook above).
   double latency_factor_ = 1.0;
@@ -370,21 +373,31 @@ class Fabric {
   std::vector<std::int32_t> partitioned_;  // sorted node set; one side of the cut
   sim::Nanos partition_heal_at_ = 0;
 
-  // Telemetry handles (registered once; recording is branch-guarded).
-  telemetry::Counter* ctr_reads_;
-  telemetry::Counter* ctr_writes_;
-  telemetry::Counter* ctr_writes_async_;
-  telemetry::Counter* ctr_read_bytes_;
-  telemetry::Counter* ctr_write_bytes_;
-  telemetry::Counter* ctr_errors_;
-  telemetry::Counter* ctr_bad_addr_;
-  telemetry::Counter* ctr_credit_stalls_;
-  telemetry::Counter* ctr_uplink_queued_;
-  telemetry::Counter* ctr_priority_ops_;
-  telemetry::Counter* ctr_injected_;
-  telemetry::Histogram* hist_queue_wait_;
-  telemetry::Histogram* hist_credit_wait_;
-  telemetry::Histogram* hist_uplink_wait_;
+  // Registry handles (subsystem "rdma"): the counters are the fabric's only
+  // statistics store.
+  using Counter = telemetry::Counter;
+  using Histogram = telemetry::Histogram;
+  Counter* counter(const char* name) {
+    return &hub_->metrics.counter("rdma", name);
+  }
+  Histogram* histogram(const char* name) {
+    return &hub_->metrics.histogram("rdma", name);
+  }
+  Counter* ctr_reads_ = counter("read_ops");
+  Counter* ctr_writes_ = counter("write_ops");
+  Counter* ctr_writes_async_ = counter("write_async_ops");
+  Counter* ctr_read_bytes_ = counter("read_bytes");
+  Counter* ctr_write_bytes_ = counter("write_bytes");
+  Counter* ctr_errors_ = counter("completion_errors");
+  Counter* ctr_bad_addr_ = counter("bad_address");
+  Counter* ctr_credit_stalls_ = counter("credit_stalls");
+  Counter* ctr_uplink_queued_ = counter("uplink_queued");
+  Counter* ctr_priority_ops_ = counter("priority_ops");
+  Counter* ctr_injected_ = counter("injected_ops");
+  Counter* ctr_injected_bytes_ = counter("injected_bytes");
+  Histogram* hist_queue_wait_ = histogram("nic_queue_wait_ns");
+  Histogram* hist_credit_wait_ = histogram("credit_wait_ns");
+  Histogram* hist_uplink_wait_ = histogram("uplink_wait_ns");
 };
 
 }  // namespace heron::rdma

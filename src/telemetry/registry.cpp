@@ -12,7 +12,7 @@ Counter& MetricsRegistry::counter(std::string subsystem, std::string name,
                                   std::string label) {
   auto& slot = counters_[{std::move(subsystem), std::move(name),
                           std::move(label)}];
-  if (!slot) slot.reset(new Counter(&enabled_));
+  if (!slot) slot.reset(new Counter());
   return *slot;
 }
 
@@ -20,7 +20,7 @@ Gauge& MetricsRegistry::gauge(std::string subsystem, std::string name,
                               std::string label) {
   auto& slot =
       gauges_[{std::move(subsystem), std::move(name), std::move(label)}];
-  if (!slot) slot.reset(new Gauge(&enabled_));
+  if (!slot) slot.reset(new Gauge());
   return *slot;
 }
 
@@ -33,15 +33,18 @@ Histogram& MetricsRegistry::histogram(std::string subsystem, std::string name,
   return *slot;
 }
 
-void MetricsRegistry::reset_values() {
-  for (auto& [k, c] : counters_) c->value_ = 0;
-  for (auto& [k, g] : gauges_) g->value_ = 0;
+void MetricsRegistry::reset_values(std::string_view subsystem) {
+  auto selected = [subsystem](const Key& k) {
+    return subsystem.empty() || std::get<0>(k) == subsystem;
+  };
+  for (auto& [k, c] : counters_) {
+    if (selected(k)) c->value_ = 0;
+  }
+  for (auto& [k, g] : gauges_) {
+    if (selected(k)) g->value_ = 0;
+  }
   for (auto& [k, h] : histograms_) {
-    h->counts_.assign(h->counts_.size(), 0);
-    h->count_ = 0;
-    h->sum_ = 0;
-    h->min_ = std::numeric_limits<std::int64_t>::max();
-    h->max_ = std::numeric_limits<std::int64_t>::min();
+    if (selected(k)) h->reset();
   }
 }
 

@@ -3,10 +3,11 @@
 // partition or replica (e.g. "g0.r1").
 //
 // Handles are registered once (construction time) and held by pointer at
-// the instrumentation site; recording is a single branch on the
-// registry-wide enabled flag plus an add, so disabled telemetry costs
-// near nothing on the hot path. Snapshots serialize deterministically
-// (std::map key order).
+// the instrumentation site. The registry is the only store for counters
+// and gauges: they always record (one add each), and the simulator's
+// accessors read them back. enable() gates histograms only — a disabled
+// histogram observe is a single branch. Snapshots serialize
+// deterministically (std::map key order).
 #pragma once
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -26,32 +28,24 @@ class MetricsRegistry;
 
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-    if (*enabled_) value_ += n;
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
+  Counter() = default;
   std::uint64_t value_ = 0;
 };
 
 class Gauge {
  public:
-  void set(std::int64_t v) {
-    if (*enabled_) value_ = v;
-  }
-  void add(std::int64_t d) {
-    if (*enabled_) value_ += d;
-  }
+  void set(std::int64_t v) { value_ = v; }
+  void add(std::int64_t d) { value_ += d; }
   [[nodiscard]] std::int64_t value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
+  Gauge() = default;
   std::int64_t value_ = 0;
 };
 
@@ -70,9 +64,7 @@ class Histogram {
     if (v > max_) max_ = v;
   }
 
-  /// Drops every recorded sample, keeping the bucket bounds. Benches call
-  /// this (via Fabric::reset_stats) between warmup and measurement so the
-  /// reported distribution covers only the measured window.
+  /// Drops every recorded sample, keeping the bucket bounds.
   void reset() {
     std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
     count_ = 0;
@@ -120,6 +112,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  /// Gates histogram recording; counters and gauges always record.
   void enable(bool on = true) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
@@ -133,9 +126,24 @@ class MetricsRegistry {
                        std::string label = "",
                        std::vector<std::int64_t> bounds = latency_buckets_ns());
 
-  /// Zeroes every metric's value (bucket layout is kept). Used at the
-  /// start of a measurement window.
-  void reset_values();
+  /// Zeroes every metric's value (bucket layout is kept), or only those of
+  /// one subsystem when `subsystem` is non-empty. Used at the start of a
+  /// measurement window.
+  void reset_values(std::string_view subsystem = {});
+
+  /// (subsystem, name, label) — the key every metric is registered under.
+  using Key = std::tuple<std::string, std::string, std::string>;
+
+  /// Visit every counter / gauge as fn(key, value) in key order, e.g. for
+  /// audits over all registered metrics.
+  template <typename Fn>
+  void for_each_counter(Fn&& fn) const {
+    for (const auto& [k, c] : counters_) fn(k, c->value());
+  }
+  template <typename Fn>
+  void for_each_gauge(Fn&& fn) const {
+    for (const auto& [k, g] : gauges_) fn(k, g->value());
+  }
 
   /// Deterministic snapshot: {"counters":[...],"gauges":[...],
   /// "histograms":[...]}, each sorted by (subsystem, name, label).
@@ -143,8 +151,6 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  using Key = std::tuple<std::string, std::string, std::string>;
-
   bool enabled_ = false;
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;

@@ -232,6 +232,57 @@ TEST(Congestion, AdaptiveAdmissionTightensThenRecovers) {
 }
 
 // ---------------------------------------------------------------------
+// Stats reset vs. adaptive admission: the per-node credit-stall count is
+// protocol input, not a statistic. A reset that zeroed it made the next
+// admission sample's unsigned stall delta wrap to ~2^64 and halve the
+// window on a calm fabric.
+// ---------------------------------------------------------------------
+
+TEST(Congestion, StatsResetLeavesAdmissionWindowAlone) {
+  sim::Simulator sim;
+  rdma::Fabric fabric(sim, congested_model(2.0, /*credits=*/4), 47);
+  core::HeronConfig cfg;
+  cfg.object_region_bytes = 1u << 20;
+  amcast::Config acfg;
+  acfg.admission_window = 16;
+  acfg.adaptive_admission = true;
+  acfg.admission_min_window = 2;
+  core::System sys(
+      fabric, /*partitions=*/1, kReplicas,
+      [] { return std::make_unique<BankApp>(1, kAccounts); }, cfg, acfg);
+  sys.start();
+  LinearChecker lin;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    sim.spawn(mixed_loop(sys, sys.add_client(), lin, 47 + c, /*ops=*/400,
+                         /*read_ratio=*/0.3, /*think=*/sim::us(20)));
+  }
+  // Warm-up: a credit burst out of the leader stalls its QPs, then the
+  // fabric calms down and the window grows back.
+  Injector injector(sys);
+  injector.run(FaultPlan::parse("plan", "creditburst g0.r0 n64 b64 p10us "
+                                        "@ 1ms for 2ms"));
+  sim.run_for(sim::ms(8));
+  auto& leader = sys.amcast().endpoint(0, 0);
+  auto& tightened =
+      fabric.telemetry().metrics.counter("amcast", "admission_tightened",
+                                         "g0.r0");
+  ASSERT_GT(fabric.credit_stalls(leader.node().id()), 0u);
+  ASSERT_GT(tightened.value(), 0u) << "the burst never tightened the window";
+  ASSERT_EQ(leader.effective_admission_window(), 16u);
+  const std::uint64_t tightened_before = tightened.value();
+  const std::uint64_t stalls_before = fabric.credit_stalls(leader.node().id());
+
+  fabric.reset_stats();
+  EXPECT_EQ(fabric.stats().credit_stalls, 0u);
+  EXPECT_EQ(fabric.credit_stalls(leader.node().id()), stalls_before);
+  sim.run_for(sim::ms(2));
+  ASSERT_GT(sys.client(0).completed(), 0u);
+  EXPECT_EQ(tightened.value(), tightened_before)
+      << "a stats reset tightened admission on a calm fabric";
+  EXPECT_EQ(leader.effective_admission_window(), 16u);
+}
+
+// ---------------------------------------------------------------------
 // Lease-renewal backpressure gate: under sustained congestion the lease
 // manager skips renewal periods instead of feeding a congested partition.
 // ---------------------------------------------------------------------

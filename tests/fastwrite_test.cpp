@@ -316,57 +316,6 @@ TEST(FastWrite, TakeoverMidGateReleasesWriteBrackets) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: System::reset_stats clears every accumulator
-// ---------------------------------------------------------------------
-
-/// Regression: reset_stats missed lease_renewals_skipped_, so every
-/// report that reset after a warm-up phase carried the warm-up's skip
-/// count forever. Drive the counter up with a congestion window, reset,
-/// and require a clean zero (alongside the replica/client counters that
-/// were already covered).
-TEST(FastWrite, ResetStatsClearsLeaseRenewalSkips) {
-  sim::Simulator sim;
-  // All three replicas share one oversubscribed rack uplink so the incast
-  // actually builds backlog the renewal gate can see (the flat default
-  // model never queues enough to trip it).
-  rdma::LatencyModel congested;
-  congested.rack_size = 3;
-  congested.oversub_ratio = 2.0;
-  rdma::Fabric fabric(sim, congested, 131);
-  core::HeronConfig cfg = write_config(sim::us(400));
-  cfg.lease_backpressure_threshold = sim::us(50);
-  cfg.client_attempt_timeout = sim::ms(2);
-  cfg.client_max_retries = 12;
-  core::System sys(
-      fabric, /*partitions=*/1, /*replicas=*/3,
-      [] { return std::make_unique<BankApp>(1, kAccounts); }, cfg);
-  sys.start();
-  auto& client = sys.add_client();
-  sim.spawn(bank_client_loop(sys, client, 131, /*ops=*/40, kAccounts));
-  Injector injector(sys);
-  injector.run(FaultPlan::parse("plan", "incast g0.r0 f8 b32768 p20us "
-                                        "@ 2ms for 4ms"));
-  sim.run_for(sim::ms(20));
-
-  ASSERT_GT(sys.lease_renewals_skipped(), 0u)
-      << "congestion window never tripped the renewal gate";
-  sys.reset_stats();
-  EXPECT_EQ(sys.lease_renewals_skipped(), 0u)
-      << "reset_stats missed lease_renewals_skipped_";
-  EXPECT_EQ(client.completed(), 0u);
-  EXPECT_EQ(client.retries(), 0u);
-  EXPECT_EQ(client.fastread_hits(), 0u);
-  EXPECT_EQ(client.fastread_fallbacks(), 0u);
-  EXPECT_EQ(client.fastwrite_commits(), 0u);
-  EXPECT_EQ(client.fastwrite_fallbacks(), 0u);
-  EXPECT_EQ(client.wrong_epoch_retries(), 0u);
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(sys.replica(0, r).gate_waits(), 0u) << "replica " << r;
-    EXPECT_EQ(sys.replica(0, r).lease_grants(), 0u) << "replica " << r;
-  }
-}
-
-// ---------------------------------------------------------------------
 // Satellite: first read of a large object must not stay truncated
 // ---------------------------------------------------------------------
 
@@ -492,6 +441,158 @@ sim::Task<void> mixed_rw_loop(core::System& sys, core::Client& client,
       lin.note_write(oid, client.id(), res.session_seq, t0, sim.now(),
                      res.status);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Stats reset: one registry, one reset
+// ---------------------------------------------------------------------
+
+std::string key_name(const telemetry::MetricsRegistry::Key& k) {
+  return std::get<0>(k) + "/" + std::get<1>(k) + "/" + std::get<2>(k);
+}
+
+/// Every stats accessor the benchmarks read must report its registry
+/// counter: the registry is the only store.
+void expect_accessors_read_registry(core::System& sys, rdma::Fabric& fabric) {
+  auto& m = fabric.telemetry().metrics;
+  auto ctr = [&m](const char* sub, const char* name, const std::string& l) {
+    return m.counter(sub, name, l).value();
+  };
+  const rdma::FabricStats fs = fabric.stats();
+  EXPECT_EQ(fs.reads, ctr("rdma", "read_ops", ""));
+  EXPECT_EQ(fs.writes, ctr("rdma", "write_ops", "") +
+                           ctr("rdma", "write_async_ops", ""));
+  EXPECT_EQ(fs.read_bytes, ctr("rdma", "read_bytes", ""));
+  EXPECT_EQ(fs.write_bytes, ctr("rdma", "write_bytes", ""));
+  EXPECT_EQ(fs.failures, ctr("rdma", "completion_errors", "") +
+                             ctr("rdma", "bad_address", ""));
+  EXPECT_EQ(fs.injected_ops, ctr("rdma", "injected_ops", ""));
+  for (int r = 0; r < 3; ++r) {
+    auto& rep = sys.replica(0, r);
+    const std::string l = "g0.r" + std::to_string(r);
+    const core::CoordStats cs = rep.coord_stats();
+    EXPECT_EQ(cs.multi_partition, ctr("core", "coord_multi_partition", l));
+    EXPECT_EQ(cs.delayed, ctr("core", "coord_delayed", l));
+    EXPECT_EQ(cs.gave_up, ctr("core", "coord_gave_up", l));
+    EXPECT_EQ(rep.fast_fence_waits(), ctr("core", "fastwrite_fence_waits", l));
+    EXPECT_EQ(rep.xfer_applied_delta_bytes(),
+              ctr("core", "transfer_bytes_applied_delta", l));
+    EXPECT_EQ(rep.xfer_applied_full_bytes(),
+              ctr("core", "transfer_bytes_applied_full", l));
+    EXPECT_EQ(rep.checkpoints_completed(),
+              ctr("durable", "replica_checkpoints", l));
+    EXPECT_EQ(rep.checkpoints_deferred(),
+              ctr("durable", "checkpoints_deferred", l));
+  }
+  for (std::uint32_t c = 0; c < sys.client_count(); ++c) {
+    auto& cl = sys.client(c);
+    const std::string l = "c" + std::to_string(cl.id());
+    EXPECT_EQ(cl.completed(), ctr("client", "completed", l));
+    EXPECT_EQ(cl.retries(), ctr("client", "retries", l));
+    EXPECT_EQ(cl.timeouts(), ctr("client", "timeouts", l));
+    EXPECT_EQ(cl.busy_replies(), ctr("client", "busy_replies", l));
+    EXPECT_EQ(cl.fastwrite_conflicts(), ctr("core", "fastwrite_conflicts", l));
+    EXPECT_EQ(cl.fastread_torn_retries(),
+              ctr("core", "fastread_torn_retries", l));
+  }
+}
+
+/// System::reset_stats is MetricsRegistry::reset_values plus the latency
+/// sample lists, so no statistic can be left off a hand-kept reset list
+/// (lease_renewals_skipped once was, and every report that reset after a
+/// warm-up carried the warm-up's skips). Drive counters in every layer —
+/// ordered writes, fast reads and writes, checkpoints, lease backpressure
+/// — then require every registered counter and gauge to read 0.
+TEST(FastWrite, ResetStatsZeroesEveryCounterAndGauge) {
+  sim::Simulator sim;
+  // All three replicas share one oversubscribed rack uplink so the incast
+  // builds backlog the lease-renewal gate can see.
+  rdma::LatencyModel congested;
+  congested.rack_size = 3;
+  congested.oversub_ratio = 2.0;
+  rdma::Fabric fabric(sim, congested, 131);
+  core::HeronConfig cfg = write_config(sim::us(400));
+  cfg.lease_backpressure_threshold = sim::us(50);
+  cfg.client_attempt_timeout = sim::ms(2);
+  cfg.client_max_retries = 12;
+  cfg.durable.checkpoint_interval = sim::ms(1);
+  core::System sys(
+      fabric, /*partitions=*/1, /*replicas=*/3,
+      [] { return std::make_unique<BankApp>(1, kAccounts); }, cfg);
+  sys.start();
+  LinearChecker lin;
+  for (std::uint64_t c = 0; c < 2; ++c) {
+    sim.spawn(mixed_rw_loop(sys, sys.add_client(), lin, 131 + c, /*ops=*/120,
+                            /*read_ratio=*/0.5, /*fast_write_ratio=*/0.6));
+  }
+  Injector injector(sys);
+  injector.run(FaultPlan::parse("plan", "incast g0.r0 f8 b32768 p20us "
+                                        "@ 2ms for 4ms"));
+  sim.run_for(sim::ms(20));
+
+  ASSERT_GT(sys.lease_renewals_skipped(), 0u)
+      << "congestion window never tripped the renewal gate";
+  std::uint64_t fast_reads = 0, fast_writes = 0;
+  for (std::uint32_t c = 0; c < sys.client_count(); ++c) {
+    fast_reads += sys.client(c).fastread_hits();
+    fast_writes += sys.client(c).fastwrite_commits();
+  }
+  ASSERT_GT(fast_reads, 0u);
+  ASSERT_GT(fast_writes, 0u);
+  ASSERT_GT(sys.replica(0, 0).executed_count(), 0u);
+  ASSERT_GT(sys.replica(0, 0).checkpoints_completed(), 0u);
+  ASSERT_GT(fabric.stats().injected_ops, 0u);
+  expect_accessors_read_registry(sys, fabric);
+
+  sys.reset_stats();
+  auto& m = fabric.telemetry().metrics;
+  std::size_t metrics = 0;
+  m.for_each_counter([&metrics](const auto& key, std::uint64_t v) {
+    ++metrics;
+    EXPECT_EQ(v, 0u) << "counter " << key_name(key);
+  });
+  m.for_each_gauge([&metrics](const auto& key, std::int64_t v) {
+    ++metrics;
+    EXPECT_EQ(v, 0) << "gauge " << key_name(key);
+  });
+  EXPECT_GT(metrics, 100u);
+  EXPECT_EQ(sys.lease_renewals_skipped(), 0u);
+  expect_accessors_read_registry(sys, fabric);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_TRUE(sys.replica(0, r).ordering_lat().empty()) << "replica " << r;
+    EXPECT_TRUE(sys.replica(0, r).coord_lat().empty()) << "replica " << r;
+    EXPECT_TRUE(sys.replica(0, r).exec_lat().empty()) << "replica " << r;
+  }
+  for (std::uint32_t c = 0; c < sys.client_count(); ++c) {
+    EXPECT_TRUE(sys.client(c).latencies().empty()) << "client " << c;
+  }
+}
+
+// ---------------------------------------------------------------------
+// LinearChecker: long fast-write chains
+// ---------------------------------------------------------------------
+
+/// Each fast write chains on the version it sampled, so one client writing
+/// one key many times in a row builds one long chain. The checker used to
+/// stop walking a chain after 64 links; the truncated order keys of later
+/// versions then matched no write, and clean histories failed membership.
+TEST(FastWrite, LongFastWriteChainChecksClean) {
+  constexpr core::Oid kKey = 3;
+  LinearChecker lin;
+  core::Tmp base = 0;  // the bootstrap version
+  sim::Nanos now = 0;
+  for (int i = 0; i < 120; ++i) {
+    const core::Tmp tmp = core::next_fast_tmp(base, /*client_id=*/1);
+    lin.note_fast_write(kKey, tmp, base, now, now + sim::us(3));
+    lin.note_read(kKey, tmp, now + sim::us(4), now + sim::us(6),
+                  /*fast=*/true);
+    now += sim::us(10);
+    base = tmp;
+  }
+  const HistoryRecorder no_ordered_writes;
+  for (const auto& v : lin.check(no_ordered_writes)) {
+    ADD_FAILURE() << "[" << v.oracle << "] " << v.detail;
   }
 }
 

@@ -43,6 +43,8 @@ TEST(JsonWriter, NestedContainersAndEscaping) {
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
+// Disabled recording drops histogram samples only: counters and gauges
+// are the simulator's statistics store and always record.
 TEST(MetricsRegistry, DisabledRecordingIsDropped) {
   telemetry::MetricsRegistry m;
   auto& c = m.counter("sub", "ops");
@@ -51,8 +53,8 @@ TEST(MetricsRegistry, DisabledRecordingIsDropped) {
   c.inc();
   g.set(7);
   h.observe(100);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
+  EXPECT_EQ(c.value(), 1u);
+  EXPECT_EQ(g.value(), 7);
   EXPECT_EQ(h.count(), 0u);
 
   m.enable();
@@ -61,7 +63,7 @@ TEST(MetricsRegistry, DisabledRecordingIsDropped) {
   g.add(-2);
   h.observe(100);
   h.observe(900);
-  EXPECT_EQ(c.value(), 3u);
+  EXPECT_EQ(c.value(), 4u);
   EXPECT_EQ(g.value(), 5);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.sum(), 1000);
@@ -300,6 +302,8 @@ TEST(TelemetryEndToEnd, SameSeedRunsExportByteIdenticalArtifacts) {
   EXPECT_EQ(a.report, b.report);
 }
 
+// Disabled telemetry records no trace events and no histogram samples;
+// counters keep counting, since they are the only statistics store.
 TEST(TelemetryEndToEnd, DisabledTelemetryRecordsNothing) {
   tpcc::TpccScale scale{.factor = 0.02, .initial_orders_per_district = 10};
   harness::TpccCluster cluster(/*partitions=*/2, /*replicas=*/3, scale);
@@ -307,10 +311,13 @@ TEST(TelemetryEndToEnd, DisabledTelemetryRecordsNothing) {
   auto result = cluster.run(sim::ms(2), sim::ms(4));
   EXPECT_GT(result.completed, 0u);
   EXPECT_EQ(cluster.telemetry().tracer.event_count(), 0u);
-  // Handles exist (registered at construction) but recorded nothing.
   auto& m = cluster.telemetry().metrics;
-  EXPECT_EQ(m.counter("core", "executed", "g0.r0").value(), 0u);
-  EXPECT_EQ(m.counter("rdma", "write_ops").value(), 0u);
+  EXPECT_EQ(m.histogram("core", "exec_ns", "g0.r0").count(), 0u);
+  EXPECT_EQ(m.histogram("rdma", "nic_queue_wait_ns").count(), 0u);
+  EXPECT_GT(m.counter("core", "executed", "g0.r0").value(), 0u);
+  EXPECT_GT(m.counter("rdma", "write_async_ops").value(), 0u);
+  EXPECT_EQ(m.counter("core", "executed", "g0.r0").value(),
+            cluster.system().replica(0, 0).executed_count());
 }
 
 // ---------------------------------------------------------------------
