@@ -21,8 +21,9 @@ struct DeviceConfig {
   /// Fixed page size. Records never span pages, so the largest object
   /// (plus record header) must fit in one page payload.
   std::uint32_t page_bytes = 64u << 10;
-  /// Device capacity in pages. Pages are materialized lazily, so a large
-  /// logical device costs little host memory.
+  /// Device capacity in pages. The device keeps only written pages (a
+  /// sparse table keyed by page index), so a large logical device costs
+  /// host memory for the pages a run writes, not for its capacity.
   std::uint64_t page_count = 1u << 18;
 
   sim::Nanos write_base = sim::us(4);   // per-page submission cost

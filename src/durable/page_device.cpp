@@ -33,7 +33,7 @@ std::uint32_t crc32(std::span<const std::byte> bytes) {
 
 PageDevice::PageDevice(sim::Simulator& sim, telemetry::Hub* hub,
                        const DeviceConfig& cfg, const std::string& label)
-    : sim_(&sim), cfg_(cfg), pages_(cfg.page_count) {
+    : sim_(&sim), cfg_(cfg) {
   auto& m = hub != nullptr ? hub->metrics : own_metrics_;
   ctr_pages_written_ = &m.counter("durable", "pages_written", label);
   ctr_bytes_written_ = &m.counter("durable", "bytes_written", label);
@@ -75,7 +75,6 @@ sim::Task<void> PageDevice::write_page(std::uint64_t page,
   } else {
     p.data.assign(payload.begin(), payload.end());
   }
-  p.written = true;
   ctr_pages_written_->inc();
   ctr_bytes_written_->inc(payload.size());
 }
@@ -89,20 +88,19 @@ sim::Task<bool> PageDevice::read_page(std::uint64_t page,
   ctr_pages_read_->inc();
   ctr_bytes_read_->inc(cfg_.page_bytes);
 
-  const Page& p = pages_[page];
-  if (!p.written || crc32(p.data) != p.crc) {
+  const auto it = pages_.find(page);
+  if (it == pages_.end() || crc32(it->second.data) != it->second.crc) {
     ctr_crc_failures_->inc();
     co_return false;
   }
-  out.assign(p.data.begin(), p.data.end());
+  out.assign(it->second.data.begin(), it->second.data.end());
   co_return true;
 }
 
 void PageDevice::corrupt_page(std::uint64_t page) {
-  if (page >= cfg_.page_count) return;
-  Page& p = pages_[page];
-  if (!p.written || p.data.empty()) return;
-  p.data[p.data.size() / 2] ^= std::byte{0xFF};
+  const auto it = pages_.find(page);
+  if (it == pages_.end() || it->second.data.empty()) return;
+  it->second.data[it->second.data.size() / 2] ^= std::byte{0xFF};
 }
 
 }  // namespace heron::durable

@@ -6,6 +6,9 @@
 // queue behind each other, like one NVMe submission queue), so durability
 // costs show up in virtual time instead of being free.
 //
+// The page table is sparse: only written pages occupy host memory, and a
+// never-written page reads like blank medium (the CRC check fails).
+//
 // Fault-injection hooks model the two classic failure shapes:
 //   * corrupt_page — medium corruption: payload bits flip, the stored CRC
 //     does not, so the next read fails its check;
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "durable/config.hpp"
@@ -69,7 +73,6 @@ class PageDevice {
   struct Page {
     std::vector<std::byte> data;
     std::uint32_t crc = 0;
-    bool written = false;
   };
 
   /// Occupies the device channel for base + bytes/bw, queueing behind
@@ -79,7 +82,7 @@ class PageDevice {
 
   sim::Simulator* sim_;
   DeviceConfig cfg_;
-  std::vector<Page> pages_;
+  std::unordered_map<std::uint64_t, Page> pages_;  // written pages only
   sim::Nanos free_at_ = 0;
   bool tear_next_ = false;
 

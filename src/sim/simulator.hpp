@@ -27,6 +27,9 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+  // A root frame still suspended (e.g. in wait_until_timeout) cancels its
+  // pool timer as it unwinds, so roots go before the timer pool and queue.
+  ~Simulator() { roots_.clear(); }
 
   /// Current virtual time.
   [[nodiscard]] Nanos now() const { return now_; }

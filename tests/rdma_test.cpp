@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "rdma/fabric.hpp"
@@ -525,6 +527,94 @@ TEST(Fabric, InjectFlowNeedsNoMemoryRegion) {
   EXPECT_EQ(fabric.stats().injected_ops, 1u);
   EXPECT_EQ(fabric.stats().injected_bytes, 64u * 1024u);
   EXPECT_GT(fabric.uplink_bytes(fabric.rack_of(dst.id())), 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;  // shadow memory distorts RSS
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || \
+    __has_feature(undefined_behavior_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Resident set size of this process in kB (VmRSS), 0 if unavailable.
+std::uint64_t vm_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      std::uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  return 0;
+}
+
+TEST(MemoryRegion, LargeRegionIsZeroedAndCostsOnlyTouchedPages) {
+  constexpr std::size_t kSize = std::size_t{1} << 30;
+  Env env;
+  const std::uint64_t rss_before = vm_rss_kb();
+  const MrId big = env.b->register_region(kSize);
+  const MemoryRegion& region = env.b->region(big);
+  ASSERT_EQ(region.size(), kSize);
+  for (const std::size_t off : {std::size_t{0}, kSize / 2, kSize - 8}) {
+    std::uint64_t word = ~0ull;
+    std::memcpy(&word, region.bytes().data() + off, sizeof(word));
+    EXPECT_EQ(word, 0u) << "offset " << off;
+  }
+
+  // One-sided round trip at the far end of the region.
+  const std::vector<std::uint8_t> payload{9, 8, 7, 6, 5, 4, 3, 2};
+  std::vector<std::byte> readback(payload.size());
+  Status write_status = Status::kBadAddress;
+  Status read_status = Status::kBadAddress;
+  env.sim.spawn([](Env& e, MrId mr, const std::vector<std::uint8_t>& p,
+                   std::vector<std::byte>& out, Status& ws,
+                   Status& rs) -> Task<void> {
+    const RAddr addr{e.b->id(), mr, kSize - p.size()};
+    ws = (co_await e.fabric.write(e.a->id(), addr, as_bytes(p))).status;
+    rs = (co_await e.fabric.read(e.a->id(), addr, out)).status;
+  }(env, big, payload, readback, write_status, read_status));
+  env.sim.run();
+  EXPECT_EQ(write_status, Status::kOk);
+  EXPECT_EQ(read_status, Status::kOk);
+  EXPECT_EQ(std::memcmp(readback.data(), payload.data(), payload.size()), 0);
+
+  const std::uint64_t rss_after = vm_rss_kb();
+  if (!kSanitized) {
+    EXPECT_LT(rss_after, rss_before + (32u << 10))
+        << "registering 1 GiB faulted in " << (rss_after - rss_before)
+        << " kB";
+  }
+}
+
+TEST(MemoryRegion, ZeroSizeRegionRejectsEveryAccess) {
+  Env env;
+  const MrId empty = env.b->register_region(0);
+  EXPECT_EQ(env.b->region(empty).size(), 0u);
+  EXPECT_TRUE(env.b->region(empty).bytes().empty());
+
+  std::vector<Status> statuses;
+  env.sim.spawn([](Env& e, MrId mr, std::vector<Status>& out) -> Task<void> {
+    const RAddr addr{e.b->id(), mr, 0};
+    std::vector<std::byte> buf(8);
+    const std::vector<std::uint8_t> one{1};
+    out.push_back((co_await e.fabric.read(e.a->id(), addr, buf)).status);
+    out.push_back(
+        (co_await e.fabric.write(e.a->id(), addr, as_bytes(one))).status);
+    out.push_back((co_await e.fabric.cas(e.a->id(), addr, 0, 1, nullptr))
+                      .status);
+  }(env, empty, statuses));
+  env.sim.run();
+  ASSERT_EQ(statuses.size(), 3u);
+  for (const Status st : statuses) EXPECT_EQ(st, Status::kBadAddress);
 }
 
 }  // namespace

@@ -690,6 +690,24 @@ TEST(Notifier, TimedWaiterDestroyedMidWaitCancelsDeadlineResume) {
   EXPECT_EQ(sim.now(), us(100));  // the disarmed shell still drains
 }
 
+TEST(Simulator, DestroyedWithRootParkedInTimedWaitIsClean) {
+  // Destroying the simulator destroys its suspended root frames; a frame
+  // parked in wait_until_timeout cancels its deadline timer on the way
+  // out, so the timer pool must still be alive at that point.
+  auto sim = std::make_unique<Simulator>();
+  Notifier n(*sim);
+  bool resumed = false;
+  sim->spawn([](Notifier& nn, bool& r) -> Task<void> {
+    (void)co_await wait_until_timeout(nn, [] { return false; }, us(100));
+    r = true;
+  }(n, resumed));
+  sim->run_until(us(10));
+  EXPECT_EQ(n.waiter_count(), 1u);
+  sim.reset();  // pre-fix: the frame's timer cancel wrote into freed memory
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(n.waiter_count(), 0u);
+}
+
 TEST(Notifier, NotifyHeavyTimedWaitKeepsEventQueueBounded) {
   // Queue-bloat guard for the timer wheel + intrusive waiters: a timed
   // wait bombarded by notifies must hold at most the deadline shell, one
