@@ -54,14 +54,13 @@ Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
 }
 
 void Endpoint::start() {
-  auto& sim = system_->fabric().simulator();
-  sim.spawn(inbox_loop());
-  sim.spawn(log_loop());
-  sim.spawn(props_loop());
-  sim.spawn(control_loop());
-  sim.spawn(batch_loop());
+  node_->spawn(inbox_loop());
+  node_->spawn(log_loop());
+  node_->spawn(props_loop());
+  node_->spawn(control_loop());
+  node_->spawn(batch_loop());
   if (system_->config().enable_failover) {
-    sim.spawn(heartbeat_loop());
+    node_->spawn(heartbeat_loop());
   }
 }
 
@@ -110,7 +109,6 @@ void Endpoint::update_status_page() {
 // ---------------------------------------------------------------------
 
 sim::Task<void> Endpoint::inbox_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node_->region(inbox_mr_);
   const Config& cfg = system_->config();
 
@@ -138,7 +136,6 @@ sim::Task<void> Endpoint::inbox_loop() {
 
   while (true) {
     co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
     const std::uint32_t clients =
         std::min(system_->client_count(), cfg.max_clients);
     for (std::uint32_t c = 0; c < clients; ++c) {
@@ -148,7 +145,6 @@ sim::Task<void> Endpoint::inbox_loop() {
         inbox_next_[c] =
             rdma::load_pod<std::uint64_t>(region.bytes(), off + sizeof(MsgUid));
         co_await node_->cpu().use(cfg.inbox_proc);
-        if (stale(inc)) co_return;
         note_seen(msg);
       }
     }
@@ -182,14 +178,12 @@ void Endpoint::enqueue_propose(MsgUid uid) {
 // ---------------------------------------------------------------------
 
 sim::Task<void> Endpoint::batch_loop() {
-  const std::uint64_t inc = incarnation_;
   const Config& cfg = system_->config();
 
   while (true) {
     co_await sim::wait_until(*batch_notifier_, [this] {
       return is_leader() && !taking_over_ && !propose_queue_.empty();
     });
-    if (stale(inc)) co_return;
 
     const std::uint32_t max_batch =
         std::min(std::max(cfg.max_batch, 1u), kMaxBatchLimit);
@@ -202,7 +196,6 @@ sim::Task<void> Endpoint::batch_loop() {
             return propose_queue_.size() >= max_batch || !is_leader();
           },
           cfg.batch_timeout);
-      if (stale(inc)) co_return;
     }
     if (!is_leader() || taking_over_) continue;
 
@@ -210,7 +203,6 @@ sim::Task<void> Endpoint::batch_loop() {
     // Arrivals during the charge still join this batch (up to max_batch),
     // which is the backpressure that grows batches under load.
     co_await node_->cpu().use(cfg.leader_proc);
-    if (stale(inc)) co_return;
     if (!is_leader() || taking_over_) continue;
 
     // Collect the batch members still worth proposing: a queued uid may
@@ -280,8 +272,7 @@ sim::Task<void> Endpoint::batch_loop() {
     update_status_page();
     hist_batch_->observe(static_cast<std::int64_t>(members.size()));
 
-    system_->fabric().simulator().spawn(
-        finish_batch(append_seq_, std::move(members)));
+    node_->spawn(finish_batch(append_seq_, std::move(members)));
   }
 }
 
@@ -329,7 +320,6 @@ std::uint32_t Endpoint::sample_admission_window() {
 
 sim::Task<void> Endpoint::finish_batch(std::uint64_t last_seq,
                                        std::vector<MsgUid> members) {
-  const std::uint64_t inc = incarnation_;
 
   // Wait for a majority of the group to have the whole PROPOSE span
   // before any member can influence another group (failover then always
@@ -342,7 +332,6 @@ sim::Task<void> Endpoint::finish_batch(std::uint64_t last_seq,
                            [this, last_seq] {
                              return propose_majority_acked(last_seq);
                            });
-  if (stale(inc)) co_return;
 
   for (const MsgUid uid : members) {
     auto it = pending_.find(uid);
@@ -543,7 +532,6 @@ void Endpoint::apply_record(const LogRecord& rec) {
 }
 
 sim::Task<void> Endpoint::log_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node_->region(log_mr_);
   const Config& cfg = system_->config();
 
@@ -555,7 +543,6 @@ sim::Task<void> Endpoint::log_loop() {
 
   while (true) {
     co_await sim::wait_until(region.on_write(), next_ready);
-    if (stale(inc)) co_return;
     bool applied_any = false;
     while (next_ready()) {
       const auto tagged = rdma::load_pod<TaggedLogRecord>(
@@ -567,7 +554,6 @@ sim::Task<void> Endpoint::log_loop() {
       // are their own head (batch == 1), preserving the seed cost model.
       if (tagged.rec.batch != 0) {
         co_await node_->cpu().use(cfg.follower_proc);
-        if (stale(inc)) co_return;
       }
       apply_record(tagged.rec);
       applied_any = true;
@@ -590,7 +576,6 @@ sim::Task<void> Endpoint::log_loop() {
 }
 
 sim::Task<void> Endpoint::props_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node_->region(props_mr_);
   const Config& cfg = system_->config();
   const std::uint32_t stripes = system_->total_replicas();
@@ -608,7 +593,6 @@ sim::Task<void> Endpoint::props_loop() {
 
   while (true) {
     co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
     for (std::uint32_t s = 0; s < stripes; ++s) {
       while (true) {
         const auto rec = rdma::load_pod<ProposalRecord>(
@@ -616,7 +600,6 @@ sim::Task<void> Endpoint::props_loop() {
         if (rec.seq < props_next_[s] + 1) break;
         props_next_[s] = rec.seq;
         co_await node_->cpu().use(cfg.proposal_proc);
-        if (stale(inc)) co_return;
         if (already_delivered(rec.uid)) continue;
         Pending& p = pending_[rec.uid];
         p.proposals[rec.from_group] =
@@ -683,26 +666,16 @@ void Endpoint::try_deliver() {
 }
 
 sim::Task<Delivery> Endpoint::next_delivery() {
-  const std::uint64_t inc = incarnation_;
   co_await sim::wait_until(*ready_notifier_, [this] { return !ready_.empty(); });
-  // A waiter parked across a crash+restart must not steal a delivery from
-  // the new incarnation's consumer: return an empty (uid 0) delivery,
-  // which callers discard along with their own stale frame.
-  if (stale(inc)) co_return Delivery{};
   co_await node_->cpu().use(system_->config().deliver_proc);
-  if (stale(inc)) co_return Delivery{};
   Delivery d = ready_.front();
   ready_.pop_front();
   co_return d;
 }
 
 sim::Task<std::vector<Delivery>> Endpoint::next_deliveries() {
-  const std::uint64_t inc = incarnation_;
   co_await sim::wait_until(*ready_notifier_, [this] { return !ready_.empty(); });
-  // Stale-waiter sentinel, as in next_delivery(): an empty span.
-  if (stale(inc)) co_return std::vector<Delivery>{};
   co_await node_->cpu().use(system_->config().deliver_proc);
-  if (stale(inc)) co_return std::vector<Delivery>{};
   std::vector<Delivery> out(ready_.begin(), ready_.end());
   ready_.clear();
   co_return out;
@@ -741,14 +714,12 @@ std::optional<Delivery> Endpoint::try_next_delivery() {
 // ---------------------------------------------------------------------
 
 sim::Task<void> Endpoint::control_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node_->region(control_mr_);
   while (true) {
     co_await sim::wait_until(region.on_write(), [this, &region] {
       return rdma::load_pod<ControlMsg>(region.bytes(), 0).serial !=
              control_serial_;
     });
-    if (stale(inc)) co_return;
     const auto ctl = rdma::load_pod<ControlMsg>(region.bytes(), 0);
     control_serial_ = ctl.serial;
     if (ctl.epoch > epoch_) {
@@ -770,7 +741,6 @@ sim::Task<void> Endpoint::control_loop() {
 }
 
 sim::Task<void> Endpoint::heartbeat_loop() {
-  const std::uint64_t inc = incarnation_;
   const Config& cfg = system_->config();
   auto& fabric = system_->fabric();
   std::uint64_t last_seen = 0;
@@ -778,7 +748,6 @@ sim::Task<void> Endpoint::heartbeat_loop() {
 
   while (true) {
     co_await fabric.simulator().sleep(cfg.heartbeat_interval);
-    if (stale(inc)) co_return;
     ++hb_value_;
     rdma::store_pod(node_->region(hb_mr_).bytes(), 0, hb_value_);
     // A replica taking over keeps heartbeating (the loop above) but does
@@ -793,7 +762,6 @@ sim::Task<void> Endpoint::heartbeat_loop() {
     const auto completion = co_await fabric.read(
         node_->id(), rdma::RAddr{leader.node().id(), leader.hb_mr(), 0}, buf,
         rdma::Lane::kControl);
-    if (stale(inc)) co_return;
 
     bool suspect = false;
     if (!completion.ok()) {
@@ -825,14 +793,13 @@ sim::Task<void> Endpoint::heartbeat_loop() {
       const auto cc = co_await fabric.read(
           node_->id(), rdma::RAddr{c.node().id(), c.hb_mr(), 0}, cbuf,
           rdma::Lane::kControl);
-      if (stale(inc)) co_return;
       if (cc.ok()) {
         first_alive = cand;
         break;
       }
     }
     if (first_alive == rank_) {
-      if (!taking_over_) fabric.simulator().spawn(takeover());
+      if (!taking_over_) node_->spawn(takeover());
       misses = 0;
     } else {
       leader_ = first_alive;
@@ -844,7 +811,6 @@ sim::Task<void> Endpoint::heartbeat_loop() {
 }
 
 sim::Task<void> Endpoint::takeover() {
-  const std::uint64_t inc = incarnation_;
   if (taking_over_) co_return;
   taking_over_ = true;
   leader_ = rank_;
@@ -871,7 +837,7 @@ sim::Task<void> Endpoint::takeover() {
   auto gather_done = std::make_shared<sim::Notifier>(fabric.simulator());
   for (int r = 0; r < n; ++r) {
     if (r == rank_) continue;
-    fabric.simulator().spawn(
+    node_->spawn(
         [](Endpoint& self, int peer_rank, std::shared_ptr<Gather> g,
            std::shared_ptr<sim::Notifier> done) -> sim::Task<void> {
           Endpoint& peer = self.system_->endpoint(self.group_, peer_rank);
@@ -889,7 +855,6 @@ sim::Task<void> Endpoint::takeover() {
   }
   co_await sim::wait_until(*gather_done,
                            [&gather, n] { return gather->resolved == n - 1; });
-  if (stale(inc)) co_return;
 
   std::vector<StatusPage> statuses;
   statuses.push_back(StatusPage{epoch_, applied_seq_, clock_});
@@ -915,7 +880,6 @@ sim::Task<void> Endpoint::takeover() {
           node_->id(),
           rdma::RAddr{peer.node().id(), peer.log_mr(), log_slot_offset(s)},
           buf);
-      if (stale(inc)) co_return;
       if (!cc.ok() || rec.rec.seq != s) break;  // peer died or ring moved on
       rdma::store_pod(node_->region(log_mr_).bytes(), log_slot_offset(s),
                       rec);
@@ -983,16 +947,14 @@ sim::Task<void> Endpoint::takeover() {
     if (p.proposed_locally && !p.committed) redrive.push_back(uid);
   }
   for (MsgUid uid : redrive) {
-    system_->fabric().simulator().spawn(
+    node_->spawn(
         [](Endpoint& self, MsgUid u) -> sim::Task<void> {
-          const std::uint64_t inc2 = self.incarnation_;
           const auto pit = self.pending_.find(u);
           if (pit == self.pending_.end()) co_return;  // earlier re-drive won
           const std::uint64_t seq = pit->second.propose_seq;
           co_await sim::wait_until(
               self.node_->region(self.acks_mr_).on_write(),
               [&self, seq] { return self.propose_majority_acked(seq); });
-          if (self.stale(inc2)) co_return;
           auto it = self.pending_.find(u);
           if (it == self.pending_.end()) co_return;
           it->second.propose_acked = true;
@@ -1026,7 +988,6 @@ sim::Task<void> Endpoint::takeover() {
 
 void Endpoint::restart() {
   node_->restart();
-  ++incarnation_;
   taking_over_ = false;
   pending_.clear();
   seen_.clear();
@@ -1085,11 +1046,10 @@ void Endpoint::restart() {
   control_serial_ =
       rdma::load_pod<ControlMsg>(node_->region(control_mr_).bytes(), 0).serial;
 
-  system_->fabric().simulator().spawn(rejoin());
+  node_->spawn(rejoin());
 }
 
 sim::Task<void> Endpoint::rejoin() {
-  const std::uint64_t inc = incarnation_;
   auto& fabric = system_->fabric();
   const int n = system_->replicas_per_group();
 
@@ -1128,7 +1088,6 @@ sim::Task<void> Endpoint::rejoin() {
     const auto sc = co_await fabric.read(
         node_->id(), rdma::RAddr{peer.node().id(), peer.status_mr(), 0}, sbuf,
         rdma::Lane::kControl);
-    if (stale(inc)) co_return;
     if (sc.ok()) {
       epoch_ = std::max(epoch_, sp.epoch);
       clock_ = std::max(clock_, sp.clock);
@@ -1142,7 +1101,6 @@ sim::Task<void> Endpoint::rejoin() {
     const auto cc = co_await fabric.read(
         node_->id(), rdma::RAddr{peer.node().id(), peer.control_mr(), 0},
         cbuf, rdma::Lane::kControl);
-    if (stale(inc)) co_return;
     if (cc.ok() && cm.epoch > ctl_epoch) {
       ctl_epoch = cm.epoch;
       ctl_leader = cm.leader_rank;
@@ -1164,7 +1122,6 @@ sim::Task<void> Endpoint::rejoin() {
           node_->id(),
           rdma::RAddr{peer.node().id(), peer.log_mr(), log_slot_offset(s)},
           buf);
-      if (stale(inc)) co_return;
       if (!cc.ok() || rec.rec.seq != s) break;  // peer died or ring moved on
       rdma::store_pod(node_->region(log_mr_).bytes(), log_slot_offset(s), rec);
       applied_seq_ = s;
@@ -1207,7 +1164,6 @@ sim::Task<void> Endpoint::rejoin() {
             rdma::RAddr{peer.node().id(), peer.props_mr(),
                         peer.props_slot_offset(my_stripe, 0)},
             stripe);
-        if (stale(inc)) co_return;
         if (!cc.ok()) continue;
         std::uint64_t max_seq = 0;
         for (std::uint32_t i = 0; i < cfg.proposal_slots; ++i) {
@@ -1220,14 +1176,12 @@ sim::Task<void> Endpoint::rejoin() {
     }
     for (auto& [uid, p] : pending_) {
       if (p.proposed_locally && !p.committed) {
-        fabric.simulator().spawn(
+        node_->spawn(
             [](Endpoint& self, MsgUid u) -> sim::Task<void> {
-              const std::uint64_t inc2 = self.incarnation_;
               const std::uint64_t seq = self.pending_.at(u).propose_seq;
               co_await sim::wait_until(
                   self.node_->region(self.acks_mr_).on_write(),
                   [&self, seq] { return self.propose_majority_acked(seq); });
-              if (self.stale(inc2)) co_return;
               auto it = self.pending_.find(u);
               if (it == self.pending_.end()) co_return;
               it->second.propose_acked = true;

@@ -9,6 +9,11 @@
 //
 // See types.hpp for the protocol walk-through and DESIGN.md for the
 // failover argument.
+//
+// Lifetimes: every protocol coroutine runs in the node's incarnation
+// (rdma::Node::spawn). A crash or restart ends it, and each pre-crash
+// frame unwinds at its next await instead of re-checking a counter, so
+// the endpoint code carries no staleness checks.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +70,13 @@ class Endpoint {
   /// Spawns the protocol coroutines. Called once by System::start().
   void start();
 
-  /// Restarts a crashed endpoint: brings the node back up, discards
-  /// volatile protocol state, rebuilds producer cursors from the surviving
-  /// registered memory, and spawns a rejoin coroutine that replays the
-  /// local log, adopts the current epoch/leader from peers, and catches up
-  /// the log tail before the protocol loops resume. Safe against stale
-  /// pre-crash coroutines via an incarnation counter.
+  /// Restarts a crashed endpoint: brings the node back up under a fresh
+  /// incarnation, discards volatile protocol state, rebuilds producer
+  /// cursors from the surviving registered memory, and spawns a rejoin
+  /// coroutine that replays the local log, adopts the current epoch/leader
+  /// from peers, and catches up the log tail before the protocol loops
+  /// resume. Pre-crash coroutines ran in the ended incarnation and unwind
+  /// at their next await.
   void restart();
 
   [[nodiscard]] GroupId group() const { return group_; }
@@ -93,8 +99,7 @@ class Endpoint {
   /// Awaits at least one delivery and drains the whole ready queue in
   /// delivery order, charging the hand-off cost once for the span. This
   /// is the batched consumer path: under load the application stops
-  /// paying a wakeup + deliver_proc per message. Returns an empty vector
-  /// to a waiter parked across a crash+restart (the stale sentinel).
+  /// paying a wakeup + deliver_proc per message.
   sim::Task<std::vector<Delivery>> next_deliveries();
 
   /// Non-blocking variant used by pollers.
@@ -171,12 +176,6 @@ class Endpoint {
   sim::Task<void> takeover();
   sim::Task<void> rejoin();  // restart path: replay + adopt + catch up
 
-  /// True when a coroutine spawned under incarnation `inc` must exit: the
-  /// node crashed, or it restarted and fresh loops took over.
-  [[nodiscard]] bool stale(std::uint64_t inc) const {
-    return !node_->alive() || inc != incarnation_;
-  }
-
   // --- helpers --------------------------------------------------------
   /// Samples fabric backpressure (leader uplink queue depth + credit
   /// stalls) and returns the admission window to apply to this batch;
@@ -213,11 +212,6 @@ class Endpoint {
   std::uint64_t control_serial_ = 0;
   std::uint64_t hb_value_ = 0;
   bool taking_over_ = false;
-
-  // Bumped on every restart(). Coroutines capture the value at spawn and
-  // exit when it no longer matches: a loop parked across a crash+restart
-  // must not resume against the rebuilt state.
-  std::uint64_t incarnation_ = 0;
 
   // Adaptive admission state (leader only; see sample_admission_window).
   std::uint32_t effective_window_ = 0;

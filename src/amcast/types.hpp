@@ -70,10 +70,9 @@ constexpr GroupId ts_group(std::uint64_t packed) {
 /// a closed loop, so per-client sequences complete in order.
 ///
 /// The client id is stored biased by one so that no valid (client, seq)
-/// pair can produce uid 0 — the inbox ring and the delivery path both use
-/// uid 0 as the empty-slot / stale-waiter sentinel, and the unbiased
-/// encoding mapped (client 0, seq 0) onto it, silently dropping that
-/// message. The bias preserves per-client uid order.
+/// pair can produce uid 0 — the inbox ring uses uid 0 as the empty-slot
+/// sentinel, and the unbiased encoding mapped (client 0, seq 0) onto it,
+/// silently dropping that message. The bias preserves per-client uid order.
 constexpr MsgUid make_uid(std::uint32_t client, std::uint32_t seq) {
   assert(client < 0xffffffffu && "make_uid: client id reserved by the bias");
   return ((static_cast<MsgUid>(client) + 1) << 32) | seq;

@@ -191,16 +191,16 @@ rdma::Node& Replica::node() {
 
 void Replica::start() {
   app_->bootstrap(group_, *store_);
-  auto& sim = system_->simulator();
-  sim.spawn(main_loop());
-  sim.spawn(addr_query_loop());
-  sim.spawn(statesync_watch_loop());
-  sim.spawn(staging_apply_loop());
-  if (ckpt_ != nullptr) sim.spawn(checkpoint_loop());
+  auto& n = node();
+  n.spawn(main_loop());
+  n.spawn(addr_query_loop());
+  n.spawn(statesync_watch_loop());
+  n.spawn(staging_apply_loop());
+  if (ckpt_ != nullptr) n.spawn(checkpoint_loop());
   if (reconfig_enabled()) {
     publish_epoch_word();
-    sim.spawn(copy_recv_loop());
-    sim.spawn(pull_watch_loop());
+    n.spawn(copy_recv_loop());
+    n.spawn(pull_watch_loop());
   }
 }
 
@@ -253,19 +253,15 @@ std::uint64_t Replica::staging_offset(int sender_rank,
 // ---------------------------------------------------------------------
 
 sim::Task<void> Replica::main_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& ep = system_->amcast().endpoint(group_, rank_);
-  while (!stale(inc)) {
+  while (true) {
     // Consume committed messages as a span: one wakeup (and one deliver
     // hand-off charge) covers everything the ordering layer has ready,
     // so the execution loop stops paying per-message wakeups under load.
     // With a single client the span has one entry and the path is
     // identical to the per-message one.
     std::vector<amcast::Delivery> span = co_await ep.next_deliveries();
-    if (stale(inc)) co_return;
     for (amcast::Delivery& d : span) {
-      if (d.uid == 0) continue;  // stale-waiter sentinel from the endpoint
-
       Request r;
       r.uid = d.uid;
       r.tmp = d.tmp;
@@ -287,7 +283,6 @@ sim::Task<void> Replica::main_loop() {
       // request boundary.
       while (in_state_transfer_) {
         co_await system_->simulator().sleep(sim::us(2));
-        if (stale(inc)) co_return;
       }
 
       // Lease-grant marker (kWireFlagLease): ordered like any command but
@@ -322,7 +317,6 @@ sim::Task<void> Replica::main_loop() {
       if (d.epoch) {
         if (!r.shed) {
           co_await apply_epoch_marker(r);
-          if (stale(inc)) co_return;
         }
         last_executed_ = std::max(last_executed_, r.tmp);
         if (leases_enabled()) push_applied();
@@ -336,7 +330,6 @@ sim::Task<void> Replica::main_loop() {
         ctr_shed_replies_->inc();
         last_executed_ = std::max(last_executed_, r.tmp);
         co_await send_reply(r, Reply{kStatusBusy, {}});
-        if (stale(inc)) co_return;
         continue;
       }
 
@@ -352,7 +345,6 @@ sim::Task<void> Replica::main_loop() {
           ctr_stale_session_->inc();
           last_executed_ = std::max(last_executed_, r.tmp);
           co_await send_reply(r, Reply{kStatusStaleSession, {}});
-          if (stale(inc)) co_return;
           continue;
         }
       }
@@ -366,12 +358,10 @@ sim::Task<void> Replica::main_loop() {
         last_executed_ = std::max(last_executed_, r.tmp);
         if (const Reply* cached = session_cached(r)) {
           co_await send_reply(r, *cached);
-          if (stale(inc)) co_return;
         } else if (session_reply_paged_out(r)) {
           // The cached payload was paged out to the durable device after a
           // covering checkpoint; fetch it back and answer from there.
           co_await answer_paged_reply(r);
-          if (stale(inc)) co_return;
         }
         continue;
       }
@@ -388,7 +378,6 @@ sim::Task<void> Replica::main_loop() {
           ctr_quiesce_->inc();
           while (touches_unsealed_inbound(roids)) {
             co_await system_->simulator().sleep(sim::us(20));
-            if (stale(inc)) co_return;
           }
         }
         // (b) Foreign range: a single-partition command or core read whose
@@ -411,7 +400,6 @@ sim::Task<void> Replica::main_loop() {
             last_executed_ = std::max(last_executed_, r.tmp);
             if (leases_enabled()) push_applied();
             co_await send_reply(r, make_wrong_epoch_reply(foreign));
-            if (stale(inc)) co_return;
             continue;
           }
         }
@@ -437,14 +425,12 @@ sim::Task<void> Replica::main_loop() {
           return inflight_ < static_cast<int>(exec_cpus_.size()) &&
                  keys_free(keys);
         });
-        if (stale(inc)) co_return;
         int slot = 0;
         while (slot_busy_[static_cast<std::size_t>(slot)]) ++slot;
         slot_busy_[static_cast<std::size_t>(slot)] = true;
         for (Oid k : keys) locked_keys_.insert(k);
         ++inflight_;
-        system_->simulator().spawn(
-            exec_concurrent(std::move(r), slot, std::move(keys)));
+        node().spawn(exec_concurrent(std::move(r), slot, std::move(keys)));
         continue;
       }
       if (cfg.exec_threads > 1) {
@@ -452,11 +438,9 @@ sim::Task<void> Replica::main_loop() {
         // run alone, after all in-flight executions drained.
         co_await sim::wait_until(*exec_done_,
                                  [this] { return inflight_ == 0; });
-        if (stale(inc)) co_return;
       }
 
       co_await handle_request(std::move(r));
-      if (stale(inc)) co_return;
     }
   }
 }
@@ -559,12 +543,8 @@ void Replica::note_executed(const Request& r, const Reply& reply) {
 
 sim::Task<void> Replica::exec_concurrent(Request r, int slot,
                                          std::vector<Oid> keys) {
-  const std::uint64_t inc = incarnation_;
   const sim::Nanos t0 = system_->simulator().now();
   ExecOutcome out = co_await execute_on(r, *exec_cpus_[static_cast<std::size_t>(slot)]);
-  // restart() resets the slot bookkeeping wholesale, so a stale execution
-  // must not release anything — it just disappears.
-  if (stale(inc)) co_return;
   const sim::Nanos exec_ns = system_->simulator().now() - t0;
   exec_lat_.record(exec_ns);
   hist_exec_->observe(exec_ns);
@@ -572,7 +552,6 @@ sim::Task<void> Replica::exec_concurrent(Request r, int slot,
   last_executed_ = std::max(last_executed_, r.tmp);
   note_executed(r, out.reply);
   co_await send_reply(r, out.reply);
-  if (stale(inc)) co_return;
 
   slot_busy_[static_cast<std::size_t>(slot)] = false;
   for (Oid k : keys) locked_keys_.erase(k);
@@ -581,7 +560,6 @@ sim::Task<void> Replica::exec_concurrent(Request r, int slot,
 }
 
 sim::Task<void> Replica::handle_request(Request r) {
-  const std::uint64_t inc = incarnation_;
   const HeronConfig& cfg = system_->config();
   ordering_lat_.record(system_->simulator().now() - r.header.sent_at);
 
@@ -601,13 +579,11 @@ sim::Task<void> Replica::handle_request(Request r) {
   // the read runs.
   if ((r.header.flags & kReqFlagRead) != 0 && cfg.mode == Mode::kApp) {
     co_await node().cpu().use(cfg.exec_dispatch_proc);
-    if (stale(inc)) co_return;
     if (fast_writes_enabled()) {
       // Resolve any pending one-sided INVALIDATE before answering: an
       // ordered read must never serve the pre-image of a fast write that
       // some fast reader elsewhere has already observed committed.
       co_await fast_write_fence(r);
-      if (stale(inc)) co_return;
     }
     Reply reply = make_read_reply(r);
     ctr_executed_->inc();
@@ -625,7 +601,6 @@ sim::Task<void> Replica::handle_request(Request r) {
     if (cfg.mode == Mode::kApp) {
       const sim::Nanos t0 = system_->simulator().now();
       ExecOutcome out = co_await execute(r);
-      if (stale(inc)) co_return;
       const sim::Nanos exec_ns = system_->simulator().now() - t0;
       exec_lat_.record(exec_ns);
       hist_exec_->observe(exec_ns);
@@ -639,7 +614,6 @@ sim::Task<void> Replica::handle_request(Request r) {
     if (leases_enabled()) {
       push_applied();
       co_await write_gate(r, locked);
-      if (stale(inc)) co_return;
     }
     note_executed(r, reply);
     co_await send_reply(r, reply);
@@ -649,7 +623,6 @@ sim::Task<void> Replica::handle_request(Request r) {
   // Phase 2 (lines 8-10).
   const sim::Nanos c0 = system_->simulator().now();
   co_await coordinate(r, 1, cfg.extra_delay_in_phase2);
-  if (stale(inc)) co_return;
   const sim::Nanos phase2 = system_->simulator().now() - c0;
 
   // Phase 3 (lines 11-13).
@@ -658,7 +631,6 @@ sim::Task<void> Replica::handle_request(Request r) {
   if (cfg.mode == Mode::kApp) {
     const sim::Nanos t0 = system_->simulator().now();
     ExecOutcome out = co_await execute(r);
-    if (stale(inc)) co_return;
     const sim::Nanos exec_ns = system_->simulator().now() - t0;
     exec_lat_.record(exec_ns);
     hist_exec_->observe(exec_ns);
@@ -675,7 +647,6 @@ sim::Task<void> Replica::handle_request(Request r) {
   // Phase 4 (lines 14-16); carries the wait-for-all statistics.
   const sim::Nanos c1 = system_->simulator().now();
   co_await coordinate(r, 2, /*collect_stats=*/true);
-  if (stale(inc)) co_return;
   const sim::Nanos coord_ns = phase2 + (system_->simulator().now() - c1);
   coord_lat_.record(coord_ns);
   hist_coord_->observe(coord_ns);
@@ -686,7 +657,6 @@ sim::Task<void> Replica::handle_request(Request r) {
   if (leases_enabled()) {
     push_applied();
     co_await write_gate(r, locked);
-    if (stale(inc)) co_return;
   }
   note_executed(r, reply);
   co_await send_reply(r, reply);  // Phase 5 (line 17)
@@ -736,20 +706,17 @@ bool Replica::coord_satisfied(const Request& r, std::uint32_t phase,
 
 sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
                                     bool collect_stats) {
-  const std::uint64_t inc = incarnation_;
   const HeronConfig& cfg = system_->config();
   auto span = hub_->tracer.span("core", "coordinate", node().id());
   span.arg("uid", r.uid);
   span.arg("phase", phase);
   co_await node().cpu().use(cfg.coord_check_proc);
-  if (stale(inc)) co_return;
   write_coord(r, phase);
 
   auto& notifier = node().region(coord_mr_).on_write();
   co_await sim::wait_until(notifier, [this, &r, phase] {
     return coord_satisfied(r, phase, /*require_all=*/false);
   });
-  if (stale(inc)) co_return;
 
   if (!collect_stats) co_return;
 
@@ -879,7 +846,6 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
         return;
       }
       store_->begin_write(oid);
-      open_brackets_.insert(oid);
       out.locked.push_back(oid);
     };
     for (const auto& c : ctx.creates()) lock_for_write(c.oid);
@@ -1007,7 +973,6 @@ void Replica::push_applied() {
 
 sim::Task<void> Replica::write_gate(const Request& r,
                                     const std::vector<Oid>& locked) {
-  const std::uint64_t inc = incarnation_;
   const sim::Nanos now = system_->simulator().now();
   // Nothing to wait for without locked slots or an active lease: fast
   // reads are impossible (no lease) or cannot observe r's writes (no
@@ -1031,26 +996,16 @@ sim::Task<void> Replica::write_gate(const Request& r,
       // miss r's writes even if a crashed peer never catches up.
       co_await sim::wait_until_timeout(node().region(fastread_mr_).on_write(),
                                        all_applied, lease_expiry_ - now);
-      if (!stale(inc)) {
-        hist_gate_wait_->observe(system_->simulator().now() - now);
-      }
+      hist_gate_wait_->observe(system_->simulator().now() - now);
     }
   }
-  // Release the brackets even when the incarnation went stale mid-wait: a
-  // takeover (incarnation bump without a node restart) that early-returned
-  // here used to strand the seqlocks permanently odd, walling every future
-  // fast read off these slots. release_bracket only ends brackets this
-  // incarnation still owns — restart() clears open_brackets_ and runs its
-  // own sweep, so a crash+restart cannot double-release a slot the new
-  // incarnation re-bracketed.
-  for (Oid oid : locked) release_bracket(oid);
-}
-
-void Replica::release_bracket(Oid oid) {
-  const auto it = open_brackets_.find(oid);
-  if (it == open_brackets_.end()) return;  // swept by restart or epoch flip
-  open_brackets_.erase(it);
-  if (store_->exists(oid)) store_->end_write(oid);
+  // Only a live gate gets here. A gate whose incarnation ended mid-wait
+  // unwinds at the await above and leaves its brackets to restart()'s
+  // seqlock sweep: ending them here could end a bracket the restarted
+  // incarnation has since opened on the same slot.
+  for (Oid oid : locked) {
+    if (store_->exists(oid)) store_->end_write(oid);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -1065,12 +1020,10 @@ sim::Task<void> Replica::fast_write_fence(const Request& r) {
   for (const Oid oid : request_oids(r)) {
     if (!store_->exists(oid) || !store_->fast_pending(oid)) continue;
     co_await fence_slot(oid);
-    if (stale(incarnation_)) co_return;
   }
 }
 
 sim::Task<void> Replica::fence_slot(Oid oid) {
-  const std::uint64_t inc = incarnation_;
   ctr_fast_fence_->inc();
   while (store_->fast_pending(oid)) {
     const sim::Nanos now = system_->simulator().now();
@@ -1093,7 +1046,6 @@ sim::Task<void> Replica::fence_slot(Oid oid) {
         node().region(store_->mr()).on_write(),
         [this, oid] { return !store_->fast_pending(oid); },
         lease_expiry_ - now);
-    if (stale(inc)) co_return;
   }
 }
 
@@ -1123,7 +1075,6 @@ Reply Replica::make_read_reply(const Request& r) const {
 
 sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
                                                     GroupId h) {
-  const std::uint64_t inc = incarnation_;
   ctr_remote_reads_->inc();
   auto span = hub_->tracer.span("core", "remote_read", node().id());
   span.arg("oid", oid);
@@ -1154,7 +1105,6 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
       // Coordination messages may still be in flight; re-check on the
       // next write into coordination memory.
       co_await node().region(coord_mr_).on_write().wait();
-      if (stale(inc)) co_return RemoteRead{};
       continue;
     }
     const int q = candidates[rng_.bounded(candidates.size())];
@@ -1165,7 +1115,6 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
     const auto cc = co_await system_->fabric().read(
         node().id(), rdma::RAddr{peer.node().id(), peer.store().mr(), loc.offset},
         buf);
-    if (stale(inc)) co_return RemoteRead{};
     if (!cc.ok()) {
       // Line 20-21: RDMA exception — the peer failed; pick another.
       ctr_remote_retries_->inc();
@@ -1193,7 +1142,6 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
 }
 
 sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
-  const std::uint64_t inc = incarnation_;
   const int reps = system_->replicas_per_partition();
   const int majority = reps / 2 + 1;
 
@@ -1255,12 +1203,10 @@ sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
                              drain();
                              return known_count() >= majority;
                            });
-  if (stale(inc)) co_return false;
   co_return true;
 }
 
 sim::Task<void> Replica::addr_query_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node().region(addrq_mr_);
   const auto stripes = system_->amcast().total_replicas();
   const HeronConfig& cfg = system_->config();
@@ -1278,7 +1224,6 @@ sim::Task<void> Replica::addr_query_loop() {
 
   while (true) {
     co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
     for (std::uint32_t s = 0; s < stripes; ++s) {
       while (true) {
         const auto q = rdma::load_pod<AddrQuery>(
@@ -1286,7 +1231,6 @@ sim::Task<void> Replica::addr_query_loop() {
         if (q.seq < addrq_next_[s] + 1) break;
         addrq_next_[s] = q.seq;
         co_await node().cpu().use(cfg.coord_check_proc);
-        if (stale(inc)) co_return;
 
         AddrAnswer ans;
         ans.seq = q.seq;
@@ -1361,7 +1305,6 @@ Reply Replica::make_wrong_epoch_reply(Oid oid) const {
 }
 
 sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
-  const std::uint64_t inc = incarnation_;
   reconfig::Layout incoming;
   std::uint32_t phase = 0;
   if (!reconfig::decode_marker(r.payload, incoming, phase)) co_return;
@@ -1386,14 +1329,14 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
       // kLeaseFastWriteDisarmedBit so in-flight probes/verifies abort
       // (one-sided commits bypass migration_dirty_).
       if (leases_enabled()) publish_lease_word();
-      system_->simulator().spawn(copy_machine(layout_.epoch));
+      node().spawn(copy_machine(layout_.epoch));
     }
     if (mig.to == group_) {
       inbound_epoch_ = layout_.epoch;
       inbound_ = mig;
       inbound_stream_dirty_ = false;
       inbound_progress_at_ = system_->simulator().now();
-      system_->simulator().spawn(inbound_watch_loop(layout_.epoch));
+      node().spawn(inbound_watch_loop(layout_.epoch));
     }
     co_return;
   }
@@ -1475,8 +1418,7 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
     items.push_back(it);
   }
   co_await copy_send(std::move(items), outbound_epoch_, mig.to, rank_,
-                     /*seal=*/true, /*throttle=*/false, inc);
-  if (stale(inc)) co_return;
+                     /*seal=*/true, /*throttle=*/false);
 
   // (4) Retirement: normalize any odd seqlock (satellite fix — this sweep
   // previously only ran on restart()), poison the size word so stale
@@ -1499,13 +1441,12 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
 }
 
 sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
-  const std::uint64_t inc = incarnation_;
   const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   auto& sim = system_->simulator();
   const reconfig::Migration mig = outbound_;
   int pass = 0;
   while (true) {
-    if (stale(inc) || !outbound_active_ || outbound_flipped_ ||
+    if (!outbound_active_ || outbound_flipped_ ||
         outbound_epoch_ != mig_epoch) {
       co_return;
     }
@@ -1548,10 +1489,9 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
       rec.kind = reconfig::kCopyObject;
       items.emplace_back(rec, std::vector<std::byte>(val.begin(), val.end()));
     }
-    const bool ok = co_await copy_send(std::move(items), mig_epoch, mig.to,
-                                       rank_, /*seal=*/false,
-                                       /*throttle=*/true, inc);
-    if (!ok || stale(inc) || !outbound_active_ || outbound_flipped_) co_return;
+    co_await copy_send(std::move(items), mig_epoch, mig.to, rank_,
+                       /*seal=*/false, /*throttle=*/true);
+    if (!outbound_active_ || outbound_flipped_) co_return;
     ++pass;
     copy_caught_up_ = migration_dirty_.size() + pass_pending_.size() <=
                       rcfg.seal_dirty_threshold;
@@ -1559,10 +1499,9 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
   }
 }
 
-sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
+sim::Task<void> Replica::copy_send(std::vector<CopyItem> items,
                                    std::uint64_t mig_epoch, GroupId dest_group,
-                                   int dest_rank, bool seal, bool throttle,
-                                   std::uint64_t inc) {
+                                   int dest_rank, bool seal, bool throttle) {
   const HeronConfig& cfg = system_->config();
   const reconfig::ReconfigConfig& rcfg = cfg.reconfig;
   auto& sim = system_->simulator();
@@ -1573,8 +1512,8 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
   std::uint32_t count = 0;
   std::vector<Oid> chunk_oids;
 
-  auto flush = [&](bool seal_flag) -> sim::Task<bool> {
-    if (count == 0 && !seal_flag) co_return true;
+  auto flush = [&](bool seal_flag) -> sim::Task<void> {
+    if (count == 0 && !seal_flag) co_return;
     if (throttle) {
       // Same backpressure discipline as the checkpoint writer — defer
       // while the ordering propose queue is deep or the replica CPU has
@@ -1589,13 +1528,11 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
                   rcfg.throttle_uplink_backlog)) {
         ctr_copy_deferred_->inc();
         co_await sim.sleep(rcfg.throttle_backoff);
-        if (stale(inc)) co_return false;
       }
     }
     if (fill > 0) {
       co_await node().cpu().use(static_cast<sim::Nanos>(
           static_cast<double>(fill) * cfg.memcpy_ns_per_byte));
-      if (stale(inc)) co_return false;
     }
     reconfig::CopyChunkHeader hdr;
     hdr.seq = ++copy_seq_[static_cast<std::size_t>(dest_rank)];
@@ -1620,13 +1557,11 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
         rdma::RAddr{dest.node().id(), dest.reconfig_mr(),
                     reconfig::copy_slot_offset(rcfg, rank_, hdr.seq)},
         std::span<const std::byte>(chunk).first(sizeof(hdr) + fill));
-    if (stale(inc)) co_return false;
     ctr_copy_chunks_->inc();
     for (const Oid oid : chunk_oids) pass_pending_.erase(oid);
     chunk_oids.clear();
     fill = 0;
     count = 0;
-    co_return true;
   };
 
   for (CopyItem& item : items) {
@@ -1636,7 +1571,7 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
       throw std::runtime_error("reconfig: record larger than copy chunk");
     }
     if (fill + len > rcfg.copy_chunk_bytes) {
-      if (!co_await flush(false)) co_return false;
+      co_await flush(false);
     }
     const std::uint64_t off = sizeof(reconfig::CopyChunkHeader) + fill;
     rdma::store_pod(std::span(chunk), off, item.first);
@@ -1648,11 +1583,10 @@ sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
       chunk_oids.push_back(item.first.oid);
     }
   }
-  co_return co_await flush(seal);
+  co_await flush(seal);
 }
 
 sim::Task<void> Replica::copy_recv_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node().region(reconfig_mr_);
   const HeronConfig& cfg = system_->config();
   const reconfig::ReconfigConfig& rcfg = cfg.reconfig;
@@ -1670,7 +1604,6 @@ sim::Task<void> Replica::copy_recv_loop() {
 
   while (true) {
     co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
     for (int s = 0; s < reps; ++s) {
       while (true) {
         const std::uint64_t next = copy_next_[static_cast<std::size_t>(s)] + 1;
@@ -1767,7 +1700,6 @@ sim::Task<void> Replica::copy_recv_loop() {
         }
         if (apply_cpu > 0) {
           co_await node().cpu().use(apply_cpu);
-          if (stale(inc)) co_return;
         }
       }
     }
@@ -1775,13 +1707,11 @@ sim::Task<void> Replica::copy_recv_loop() {
 }
 
 sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
-  const std::uint64_t inc = incarnation_;
   const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   auto& sim = system_->simulator();
   const int reps = system_->replicas_per_partition();
   while (true) {
     co_await sim.sleep(rcfg.pull_timeout / 2);
-    if (stale(inc)) co_return;
     if (inbound_epoch_ != mig_epoch) co_return;    // superseded migration
     if (seal_epoch_seen_ >= mig_epoch) co_return;  // sealed: done
     if (sim.now() - inbound_progress_at_ <= rcfg.pull_timeout) continue;
@@ -1803,13 +1733,11 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
 }
 
 sim::Task<void> Replica::pull_watch_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node().region(reconfig_mr_);
   const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   const int reps = system_->replicas_per_partition();
   while (true) {
     co_await region.on_write().wait();
-    if (stale(inc)) co_return;
     for (int q = 0; q < reps; ++q) {
       const auto pw = rdma::load_pod<reconfig::PullWord>(
           region.bytes(), reconfig::copy_pull_offset(rcfg, reps, q));
@@ -1827,8 +1755,7 @@ sim::Task<void> Replica::pull_watch_loop() {
       ctr_copy_pulls_served_->inc();
       std::vector<CopyItem> items = final_image_;
       co_await copy_send(std::move(items), outbound_epoch_, outbound_.to, q,
-                         /*seal=*/true, /*throttle=*/false, inc);
-      if (stale(inc)) co_return;
+                         /*seal=*/true, /*throttle=*/false);
     }
   }
 }
@@ -1884,7 +1811,7 @@ void Replica::adopt_layout_record(std::span<const std::byte> payload) {
   seal_epoch_seen_ = std::max(seal_epoch_seen_, donor_seal);
 }
 
-sim::Task<void> Replica::resume_migration_roles(std::uint64_t inc) {
+sim::Task<void> Replica::resume_migration_roles() {
   if (!layout_.enabled() || !layout_.migration.active()) co_return;
   const reconfig::Migration mig = layout_.migration;
   const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
@@ -1909,7 +1836,6 @@ sim::Task<void> Replica::resume_migration_roles(std::uint64_t inc) {
                          i) *
                             reconfig::copy_slot_bytes(rcfg)},
             buf);
-        if (stale(inc)) co_return;
         if (!cc.ok()) break;  // dest down; counter stays, stream resumes
         max_seq = std::max(
             max_seq,
@@ -1924,7 +1850,7 @@ sim::Task<void> Replica::resume_migration_roles(std::uint64_t inc) {
     migration_dirty_.clear();
     pass_pending_.clear();
     copy_caught_up_ = false;
-    sim.spawn(copy_machine(layout_.epoch));
+    node().spawn(copy_machine(layout_.epoch));
   }
   if (mig.to == group_ && seal_epoch_seen_ < layout_.epoch) {
     inbound_epoch_ = layout_.epoch;
@@ -1933,7 +1859,7 @@ sim::Task<void> Replica::resume_migration_roles(std::uint64_t inc) {
     // SEAL attempt to fail so a pull resend re-ships the whole range.
     inbound_stream_dirty_ = true;
     inbound_progress_at_ = sim.now();
-    sim.spawn(inbound_watch_loop(layout_.epoch));
+    node().spawn(inbound_watch_loop(layout_.epoch));
   }
 }
 
@@ -1992,7 +1918,6 @@ std::vector<Oid> Replica::log_objects_since(Tmp from_tmp, bool held_through,
 
 sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
                                                 bool have_sessions) {
-  const std::uint64_t inc = incarnation_;
   ctr_state_transfers_->inc();
   auto span = hub_->tracer.span("core", "state_transfer", node().id());
   span.arg("from_tmp", failed_tmp);
@@ -2022,10 +1947,8 @@ sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
                                                   statesync_offset(rank_));
     return e.status == 0 && e.rid != 0;
   });
-  if (stale(inc)) co_return;
   co_await sim::wait_until(node().region(staging_mr_).on_write(),
                            [this] { return staging_pending() == 0; });
-  if (stale(inc)) co_return;
 
   // Line 6.
   const auto done = rdma::load_pod<StateSyncEntry>(region.bytes(),
@@ -2047,14 +1970,12 @@ std::uint64_t Replica::staging_pending() const {
 }
 
 sim::Task<void> Replica::statesync_watch_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node().region(statesync_mr_);
   const int reps = system_->replicas_per_partition();
   std::vector<std::uint64_t> handled(static_cast<std::size_t>(reps), 0);
 
   while (true) {
     co_await region.on_write().wait();
-    if (stale(inc)) co_return;
     for (int q = 0; q < reps; ++q) {
       if (q == rank_) continue;
       const auto e = rdma::load_pod<StateSyncEntry>(region.bytes(),
@@ -2064,9 +1985,9 @@ sim::Task<void> Replica::statesync_watch_loop() {
         continue;
       }
       handled[static_cast<std::size_t>(q)] = e.serial;
-      system_->simulator().spawn(
+      node().spawn(
           [](Replica& self, int lagger, Tmp from, bool sessions_delta,
-             std::uint64_t serial, std::uint64_t inc2) -> sim::Task<void> {
+             std::uint64_t serial) -> sim::Task<void> {
             // Line 9-11: deterministic handler selection — candidates in
             // cyclic rank order after the lagger; candidate k starts after
             // k suspicion timeouts unless someone finished first.
@@ -2080,7 +2001,6 @@ sim::Task<void> Replica::statesync_watch_loop() {
             if (k > 0) {
               co_await self.system_->simulator().sleep(
                   k * self.system_->config().statesync_timeout);
-              if (self.stale(inc2)) co_return;
               const auto now_e = rdma::load_pod<StateSyncEntry>(
                   self.node().region(self.statesync_mr_).bytes(),
                   self.statesync_offset(lagger));
@@ -2092,14 +2012,13 @@ sim::Task<void> Replica::statesync_watch_loop() {
               }
             }
             co_await self.perform_transfer(lagger, from, sessions_delta);
-          }(*this, q, e.req_tmp, e.status == 2, e.serial, inc));
+          }(*this, q, e.req_tmp, e.status == 2, e.serial));
     }
   }
 }
 
 sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
                                           bool sessions_delta) {
-  const std::uint64_t inc = incarnation_;
   const HeronConfig& cfg = system_->config();
 
   // Only transfer a state that already covers the failed request — and
@@ -2107,11 +2026,13 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // before execution, and a transfer snapshot must reflect applied writes.
   while (last_executed_ < from_tmp) {
     co_await system_->simulator().sleep(sim::us(5));
-    if (stale(inc)) co_return;
   }
 
   // Pause execution at a request boundary: the replica is single-threaded,
   // so serving the transfer and executing requests are mutually exclusive.
+  // A crash mid-transfer cancels this frame before the reset at the end;
+  // restart() clears the flag and the lagger's timeout picks the next
+  // handler.
   in_state_transfer_ = true;
   ctr_transfers_served_->inc();
   auto span = hub_->tracer.span("core", "serve_transfer", node().id());
@@ -2169,9 +2090,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
     }
     if (fill + record_len > chunk_capacity) {
       co_await flush();
-      // Crashed (or restarted) mid-transfer: abandon. restart() resets
-      // in_state_transfer_; the lagger's timeout picks the next handler.
-      if (stale(inc)) co_return;
     }
 
     ChunkRecord rec;
@@ -2211,7 +2129,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
     }
     if (fill + record_len > chunk_capacity) {
       co_await flush();
-      if (stale(inc)) co_return;
     }
 
     ChunkRecord rec;
@@ -2235,7 +2152,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
     const auto record_len = static_cast<std::uint32_t>(sizeof(ChunkRecord));
     if (fill + record_len > chunk_capacity) {
       co_await flush();
-      if (stale(inc)) co_return;
     }
     ChunkRecord rec;
     rec.oid = client;
@@ -2261,7 +2177,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
           static_cast<std::uint32_t>(sizeof(ChunkRecord) + payload_len);
       if (fill + record_len > chunk_capacity) {
         co_await flush();
-        if (stale(inc)) co_return;
       }
       ChunkRecord rec;
       rec.oid = 0;
@@ -2277,7 +2192,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
     }
   }
   co_await flush();
-  if (stale(inc)) co_return;
 
   // Lines 16-17: completion notice to every member (including ourselves
   // and the lagger).
@@ -2300,7 +2214,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
 }
 
 sim::Task<void> Replica::staging_apply_loop() {
-  const std::uint64_t inc = incarnation_;
   auto& region = node().region(staging_mr_);
   const HeronConfig& cfg = system_->config();
   const int reps = system_->replicas_per_partition();
@@ -2322,7 +2235,6 @@ sim::Task<void> Replica::staging_apply_loop() {
 
   while (true) {
     co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
     for (int s = 0; s < reps; ++s) {
       while (true) {
         const std::uint64_t next =
@@ -2377,7 +2289,6 @@ sim::Task<void> Replica::staging_apply_loop() {
         }
         if (apply_cpu > 0) {
           co_await node().cpu().use(apply_cpu);
-          if (stale(inc)) co_return;
         }
         region.on_write().notify_all();  // progress signal for the waiter
       }
@@ -2393,27 +2304,23 @@ sim::Task<void> Replica::staging_apply_loop() {
 // ---------------------------------------------------------------------
 
 sim::Task<void> Replica::checkpoint_loop() {
-  const std::uint64_t inc = incarnation_;
   const durable::DurableConfig& dcfg = system_->config().durable;
   auto& sim = system_->simulator();
   auto& ep = system_->amcast().endpoint(group_, rank_);
   while (true) {
     co_await sim.sleep(dcfg.checkpoint_interval);
-    if (stale(inc)) co_return;
     // Throttle: defer while the foreground is hot — the ordering propose
     // queue is deep, or the replica CPU has a backlog of queued work.
     while (ep.propose_backlog() > dcfg.throttle_queue_depth ||
            node().cpu().free_at() > sim.now() + dcfg.throttle_cpu_backlog) {
       ctr_ckpt_deferred_->inc();
       co_await sim.sleep(dcfg.throttle_backoff);
-      if (stale(inc)) co_return;
     }
-    co_await write_checkpoint_once(inc);
-    if (stale(inc)) co_return;
+    co_await write_checkpoint_once();
   }
 }
 
-sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
+sim::Task<void> Replica::write_checkpoint_once() {
   const HeronConfig& cfg = system_->config();
   const durable::DurableConfig& dcfg = cfg.durable;
   const bool full = !ckpt_->has_checkpoint() || ckpt_->should_compact() ||
@@ -2437,7 +2344,6 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
     for (const std::uint32_t client : paged_clients) {
       const auto rec =
           co_await ckpt_->fetch_record(durable::kRecordSession, client);
-      if (stale(inc)) co_return;
       if (rec.has_value()) {
         Session persisted = decode_session(rec->bytes);
         // A record that is itself paged-out holds no payload; using it
@@ -2519,14 +2425,11 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
       static_cast<double>(snap_bytes) * cfg.memcpy_ns_per_byte);
   if (snap_cpu > 0) {
     co_await node().cpu().use(snap_cpu);
-    if (stale(inc)) co_return;
   }
 
   const bool ok = co_await ckpt_->write_checkpoint(
-      w, lease_epoch_, lease_expiry_, full, records,
-      [this, inc] { return stale(inc); }, layout_.epoch);
-  if (stale(inc)) co_return;
-  if (!ok) co_return;  // aborted or out of pages; previous commit intact
+      w, lease_epoch_, lease_expiry_, full, records, layout_.epoch);
+  if (!ok) co_return;  // out of pages; previous commit intact
 
   ctr_checkpoints_->inc();
   const Tmp prev_w = ckpt_watermark_;
@@ -2627,8 +2530,6 @@ sim::Task<void> Replica::apply_checkpoint_image(const durable::Image& img) {
 // ---------------------------------------------------------------------
 
 void Replica::restart() {
-  ++incarnation_;
-
   // Volatile runtime state. last_req_ / last_executed_ / statesync_serial_
   // are kept: they describe the surviving object-store contents, standing
   // in for the small stable-storage record a real deployment would keep
@@ -2695,7 +2596,6 @@ void Replica::restart() {
   lease_epoch_ = 0;
   lease_expiry_ = 0;
   fast_write_armed_ = false;
-  open_brackets_.clear();
   publish_lease_word();
   fast_pending_at_restart_.clear();
   store_->for_each_oid([this](Oid oid) {
@@ -2748,11 +2648,10 @@ void Replica::restart() {
     }
   }
 
-  system_->simulator().spawn(rejoin());
+  node().spawn(rejoin());
 }
 
 sim::Task<void> Replica::rejoin() {
-  const std::uint64_t inc = incarnation_;
   hub_->tracer.instant("core", "rejoin", node().id(),
                        {telemetry::Arg{"group", static_cast<std::uint64_t>(group_)},
                         telemetry::Arg{"rank", static_cast<std::uint64_t>(rank_)}});
@@ -2762,13 +2661,13 @@ sim::Task<void> Replica::rejoin() {
 
   // Receive-side loops first: the staging applier must be draining before
   // the state transfer below ships chunks, or its waiter never completes.
-  auto& sim = system_->simulator();
-  sim.spawn(addr_query_loop());
-  sim.spawn(statesync_watch_loop());
-  sim.spawn(staging_apply_loop());
+  auto& n = node();
+  n.spawn(addr_query_loop());
+  n.spawn(statesync_watch_loop());
+  n.spawn(staging_apply_loop());
   if (reconfig_enabled()) {
-    sim.spawn(copy_recv_loop());
-    sim.spawn(pull_watch_loop());
+    n.spawn(copy_recv_loop());
+    n.spawn(pull_watch_loop());
   }
 
   // Recover send-side counters by reading back the rings our past writes
@@ -2786,7 +2685,6 @@ sim::Task<void> Replica::rejoin() {
           rdma::RAddr{peer.node().id(), peer.addrq_mr(),
                       peer.addrq_offset(my_stripe, 0)},
           buf);
-      if (stale(inc)) co_return;
       if (!cc.ok()) continue;  // peer down; counter stays 0, ring restarts
       for (std::uint32_t i = 0; i < kAddrSlots; ++i) {
         const auto qr = rdma::load_pod<AddrQuery>(std::span(buf), i * kAddrQSlot);
@@ -2806,7 +2704,6 @@ sim::Task<void> Replica::rejoin() {
           rdma::RAddr{peer.node().id(), peer.staging_mr(),
                       peer.staging_offset(rank_, i)},
           buf);
-      if (stale(inc)) co_return;
       if (!cc.ok()) break;
       max_seq = std::max(max_seq,
                          rdma::load_pod<ChunkHeader>(std::span(buf), 0).seq);
@@ -2821,7 +2718,6 @@ sim::Task<void> Replica::rejoin() {
   bool have_sessions = false;
   if (ckpt_ != nullptr) {
     auto img = co_await ckpt_->load_latest();
-    if (stale(inc)) co_return;
     if (img.has_value() && reconfig_enabled()) {
       // Reject checkpoints committed under a superseded layout: objects
       // may have migrated away (or in) since, and replaying the image
@@ -2839,7 +2735,6 @@ sim::Task<void> Replica::rejoin() {
             rdma::RAddr{peer.node().id(), peer.fastread_mr(),
                         kFastReadEpochOffset},
             buf);
-        if (stale(inc)) co_return;
         if (!cc.ok()) continue;
         peer_epoch = std::max(
             peer_epoch, rdma::load_pod<std::uint64_t>(std::span(buf), 0));
@@ -2856,7 +2751,6 @@ sim::Task<void> Replica::rejoin() {
     }
     if (img.has_value()) {
       co_await apply_checkpoint_image(*img);
-      if (stale(inc)) co_return;
       restored_from_checkpoint_ = true;
       have_sessions = true;
       HSIM_LOG(system_->simulator(), kInfo,
@@ -2879,7 +2773,6 @@ sim::Task<void> Replica::rejoin() {
   // failed-request semantics (donor re-ships from_tmp itself).
   const std::uint64_t applied_before = ctr_xfer_bytes_applied_->value();
   co_await request_state_transfer(last_executed_, have_sessions);
-  if (stale(inc)) co_return;
   // A stats reset mid-transfer restarts the counter: all it holds is ours.
   const std::uint64_t applied = ctr_xfer_bytes_applied_->value();
   gauge_restart_delta_->set(static_cast<std::int64_t>(
@@ -2904,8 +2797,7 @@ sim::Task<void> Replica::rejoin() {
       if (store_->seqlock(oid) & 1) store_->end_write(oid);
       store_->retire(oid);
     }
-    co_await resume_migration_roles(inc);
-    if (stale(inc)) co_return;
+    co_await resume_migration_roles();
   }
 
   // Resolve fast writes left pending at crash time against the surviving
@@ -2913,8 +2805,7 @@ sim::Task<void> Replica::rejoin() {
   // resumes. Safe to run here: the lease word is still zeroed and the main
   // loop is not running, so nothing serves these slots concurrently.
   if (system_->config().fast_writes) {
-    co_await reconcile_fast_slots(inc);
-    if (stale(inc)) co_return;
+    co_await reconcile_fast_slots();
   }
 
   HSIM_LOG(system_->simulator(), kInfo,
@@ -2926,15 +2817,14 @@ sim::Task<void> Replica::rejoin() {
   // Only now resume execution: the store reflects the survivors' state and
   // deliveries with tmp <= last_req_ are skipped by the main loop.
   rejoining_ = false;
-  sim.spawn(main_loop());
-  if (ckpt_ != nullptr) sim.spawn(checkpoint_loop());
+  n.spawn(main_loop());
+  if (ckpt_ != nullptr) n.spawn(checkpoint_loop());
 }
 
-sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
+sim::Task<void> Replica::reconcile_fast_slots() {
   if (fast_pending_at_restart_.empty()) co_return;
   const int reps = system_->replicas_per_partition();
   for (const Oid oid : fast_pending_at_restart_) {
-    if (stale(inc)) co_return;
     // The rejoin transfer (or an epoch sweep) may already have rewritten
     // or retired the slot; only still-pending slots need a verdict.
     if (!store_->exists(oid) || !store_->fast_pending(oid)) continue;
@@ -2955,7 +2845,6 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
         const auto cc = co_await system_->fabric().read(
             node().id(),
             rdma::RAddr{peer.node().id(), peer.store().mr(), off}, buf);
-        if (stale(inc)) co_return;
         if (!cc.ok()) continue;
         const auto peer_lock =
             rdma::load_pod<std::uint64_t>(std::span(buf), 0);
@@ -2991,7 +2880,6 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
         break;
       }
       co_await system_->simulator().sleep(sim::us(50));
-      if (stale(inc)) co_return;
     }
   }
   fast_pending_at_restart_.clear();

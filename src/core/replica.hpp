@@ -2,6 +2,14 @@
 // (execution with remote reads over dual-versioned objects) and
 // Algorithm 3 (state transfer), layered on the atomic multicast endpoint
 // and the simulated RDMA fabric.
+//
+// Lifetimes: every replica coroutine (the main loop, the background loops
+// and everything they await) runs in the node's incarnation, spawned with
+// rdma::Node::spawn. A crash or restart ends it and each pre-crash frame
+// unwinds at its next await (sim/task.hpp). Cleanup such a frame would
+// owe — write-gate seqlock brackets, transfer and slot bookkeeping — is
+// left to restart(), which resets or sweeps all volatile state; nothing
+// here re-checks an incarnation after an await.
 #pragma once
 
 #include <cstdint>
@@ -211,17 +219,6 @@ class Replica {
     return ctr_fast_repairs_->value();
   }
 
-  /// Test hook (write-gate takeover regression): bumps the incarnation
-  /// WITHOUT restarting, as a failover-driven takeover does, so staleness
-  /// checks in in-flight coroutines fire while the store and runtime state
-  /// survive untouched.
-  void debug_bump_incarnation() { ++incarnation_; }
-  /// Test hook: oids currently held seqlock-odd by an in-flight write
-  /// phase or write gate of THIS incarnation.
-  [[nodiscard]] std::size_t open_bracket_count() const {
-    return open_brackets_.size();
-  }
-
   // Reconfiguration state (heron::reconfig; tests / bench / controller).
   [[nodiscard]] const reconfig::Layout& layout() const { return layout_; }
   [[nodiscard]] rdma::MrId reconfig_mr() const { return reconfig_mr_; }
@@ -328,9 +325,6 @@ class Replica {
   /// active at execution time has expired). Releases the seqlock brackets
   /// taken in execute_on.
   sim::Task<void> write_gate(const Request& r, const std::vector<Oid>& locked);
-  /// Releases a write-phase seqlock bracket if it is still owned by this
-  /// incarnation (see open_brackets_); the only path allowed to end_write.
-  void release_bracket(Oid oid);
   /// Answers a core-level ordered read (kReqFlagRead) from the store.
   [[nodiscard]] Reply make_read_reply(const Request& r) const;
   void publish_lease_word();
@@ -353,7 +347,7 @@ class Replica {
   /// sampling live peers — a peer whose lock equals the pending tmp proves
   /// the writer validated (adopt); any other resolved peer state proves it
   /// aborted (discard). Runs before main_loop resumes.
-  sim::Task<void> reconcile_fast_slots(std::uint64_t inc);
+  sim::Task<void> reconcile_fast_slots();
 
   // --- state transfer (Algorithm 3) ------------------------------------
   /// `have_sessions` marks the request as a delta (StateSyncEntry status
@@ -369,7 +363,7 @@ class Replica {
 
   // --- durability (checkpointing + log compaction) ----------------------
   sim::Task<void> checkpoint_loop();
-  sim::Task<void> write_checkpoint_once(std::uint64_t inc);
+  sim::Task<void> write_checkpoint_once();
   /// Installs a restored checkpoint image: objects, sessions, tombstones,
   /// watermarks; charges memcpy-class CPU for the installed bytes.
   sim::Task<void> apply_checkpoint_image(const durable::Image& img);
@@ -407,11 +401,9 @@ class Replica {
   /// Streams `items` as CRC'd chunks into dest's per-source-rank ring.
   /// `seal` flags the last chunk; `throttle` defers between chunks under
   /// foreground load. Erases each landed object from pass_pending_.
-  /// Returns false when the sender went stale mid-stream.
-  sim::Task<bool> copy_send(std::vector<CopyItem> items,
+  sim::Task<void> copy_send(std::vector<CopyItem> items,
                             std::uint64_t mig_epoch, GroupId dest_group,
-                            int dest_rank, bool seal, bool throttle,
-                            std::uint64_t inc);
+                            int dest_rank, bool seal, bool throttle);
   /// Destination-side consumer: drains chunk rings in seq order, verifies
   /// CRCs, applies records newest-wins, tracks stream dirtiness and seals.
   sim::Task<void> copy_recv_loop();
@@ -429,13 +421,7 @@ class Replica {
   /// Rejoin tail: re-arms the copy machine (source) or inbound tracking
   /// (dest) for a migration still active in the adopted layout, after
   /// recovering send counters from the peer rings.
-  sim::Task<void> resume_migration_roles(std::uint64_t inc);
-
-  /// True when a coroutine spawned under incarnation `inc` must exit (the
-  /// node crashed, or restarted and fresh loops took over).
-  [[nodiscard]] bool stale(std::uint64_t inc) {
-    return !node().alive() || inc != incarnation_;
-  }
+  sim::Task<void> resume_migration_roles();
   /// Oids touched by logged updates the requester still needs: at/above
   /// from_tmp (failed-request semantics) or strictly above it when
   /// `held_through` (delta request: from_tmp itself is already applied).
@@ -476,12 +462,6 @@ class Replica {
 
   // --- fast-write state --------------------------------------------------
   bool fast_write_armed_ = false;  // armed lease grant applied (sticky)
-  /// Seqlock brackets opened by THIS incarnation's write phases and not
-  /// yet released. A takeover (incarnation bump without restart) must not
-  /// let the stale gate's release path touch brackets a fresh incarnation
-  /// opened, and conversely the bump itself must not strand the stale
-  /// gate's brackets odd — release_bracket() keys off this set.
-  std::set<Oid> open_brackets_;
   /// Slots found fast-pending by restart(); rejoin() reconciles them with
   /// peers before the main loop resumes.
   std::vector<Oid> fast_pending_at_restart_;
@@ -490,9 +470,6 @@ class Replica {
   Tmp last_executed_ = 0;  // highest tmp whose writes are applied locally
   std::uint64_t statesync_serial_ = 0;
   bool in_state_transfer_ = false;
-
-  // Bumped on every restart(); see stale().
-  std::uint64_t incarnation_ = 0;
 
   // Remote object map: oid -> per-rank location in the home partition
   // (the paper's object_map of <oid, q> -> addr).

@@ -137,13 +137,18 @@ double CheckpointStore::utilization() const {
 sim::Task<bool> CheckpointStore::write_checkpoint(
     std::uint64_t watermark, std::uint64_t lease_epoch,
     std::int64_t lease_expiry, bool full, const std::vector<Record>& records,
-    std::function<bool()> abort, std::uint64_t layout_epoch) {
-  const auto aborted = [&abort] { return abort && abort(); };
+    std::uint64_t layout_epoch) {
   std::vector<std::uint64_t> fresh;
-  const auto give_up = [&](bool count_abort) {
+  const auto free_fresh = [&] {
     for (const std::uint64_t p : fresh) free_page(p);
-    if (count_abort) ctr_aborted_->inc();
   };
+  // Cancelled mid-write (the owner crashed): hand the pages back. This
+  // frame awaits only device writes, and the device channel is FIFO, so
+  // the unwind runs before any device operation of a restarted owner.
+  sim::UnwindGuard abandon([&] {
+    free_fresh();
+    ctr_aborted_->inc();
+  });
 
   // --- pack records into data-page payloads ----------------------------
   const std::uint32_t cap = page_payload_capacity();
@@ -187,9 +192,8 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
               DPageHeader{kDataMagic, payload_counts[i],
                           static_cast<std::uint32_t>(payload.size())});
     const std::uint64_t page = alloc_page();
-    if (page == kNoPage || aborted()) {
-      free_page(page);  // not yet in `fresh`; no-op for kNoPage
-      give_up(page != kNoPage);
+    if (page == kNoPage) {
+      free_fresh();
       co_return false;
     }
     fresh.push_back(page);
@@ -215,7 +219,7 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
   for (std::size_t i = 0; i < mpage_count; ++i) {
     const std::uint64_t page = alloc_page();
     if (page == kNoPage) {
-      give_up(false);
+      free_fresh();
       co_return false;
     }
     fresh.push_back(page);
@@ -234,47 +238,45 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
     payload.insert(payload.end(), blob.begin() + static_cast<std::ptrdiff_t>(off),
                    blob.begin() + static_cast<std::ptrdiff_t>(off + part));
     if (i == 0) head_crc_new = crc32(payload);
-    if (aborted()) {
-      give_up(true);
-      co_return false;
-    }
     co_await dev_.write_page(mpages[i], payload);
   }
 
   // --- commit: the superblock write is the atomic switch ---------------
-  if (aborted()) {
-    give_up(true);
-    co_return false;
-  }
-  const std::uint64_t seq = super_seq_ + 1;
-  std::vector<std::byte> sb;
-  append_pod(sb, Superblock{kSuperMagic, seq, mpages[0], head_crc_new, 0,
-                            watermark});
-  co_await dev_.write_page(seq % 2, sb);
+  // The write and the in-memory mirror run as one primitive: once issued,
+  // the checkpoint commits even if this frame is cancelled meanwhile.
+  abandon.dismiss();
+  auto commit = [&]() -> sim::Primitive<void> {
+    const std::uint64_t seq = super_seq_ + 1;
+    std::vector<std::byte> sb;
+    append_pod(sb, Superblock{kSuperMagic, seq, mpages[0], head_crc_new, 0,
+                              watermark});
+    co_await dev_.write_page(seq % 2, sb);
 
-  // In-memory mirror of the now-durable state.
-  super_seq_ = seq;
-  head_page_ = mpages[0];
-  head_crc_ = head_crc_new;
-  watermark_ = watermark;
-  if (full) {
-    std::uint64_t freed = 0;
-    for (const std::uint64_t p : chain_pages_) {
-      free_page(p);
-      ++freed;
+    // In-memory mirror of the now-durable state.
+    super_seq_ = seq;
+    head_page_ = mpages[0];
+    head_crc_ = head_crc_new;
+    watermark_ = watermark;
+    if (full) {
+      std::uint64_t freed = 0;
+      for (const std::uint64_t p : chain_pages_) {
+        free_page(p);
+        ++freed;
+      }
+      ctr_pages_freed_->inc(freed);
+      chain_pages_.clear();
+      index_.clear();
     }
-    ctr_pages_freed_->inc(freed);
-    chain_pages_.clear();
-    index_.clear();
-  }
-  chain_pages_.insert(chain_pages_.end(), fresh.begin(), fresh.end());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    for (const PendingLoc& l : payload_locs[i]) {
-      index_[l.key] = RecordLoc{entries[i].page, l.offset, l.flags, l.tmp};
+    chain_pages_.insert(chain_pages_.end(), fresh.begin(), fresh.end());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      for (const PendingLoc& l : payload_locs[i]) {
+        index_[l.key] = RecordLoc{entries[i].page, l.offset, l.flags, l.tmp};
+      }
     }
-  }
-  ctr_checkpoints_->inc();
-  if (full) ctr_full_checkpoints_->inc();
+    ctr_checkpoints_->inc();
+    if (full) ctr_full_checkpoints_->inc();
+  };
+  co_await commit();
   co_return true;
 }
 

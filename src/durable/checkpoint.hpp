@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -72,15 +71,16 @@ class CheckpointStore {
 
   /// Persists one checkpoint and commits it atomically. `full` replaces
   /// the whole chain (and frees the old one); otherwise `records` is the
-  /// dirty delta since the previous commit. `abort` is polled between
-  /// page writes — when it returns true (owner crashed) the checkpoint is
-  /// abandoned with the previous commit intact. Returns false when
-  /// aborted or out of pages.
+  /// dirty delta since the previous commit. Returns false when out of
+  /// pages. A caller cancelled between page writes (its owner crashed)
+  /// abandons the checkpoint with the previous commit intact: the pages it
+  /// took go back to the allocator and aborted_checkpoints() counts it.
+  /// Once the superblock write is issued the checkpoint commits even if
+  /// the caller is cancelled.
   sim::Task<bool> write_checkpoint(std::uint64_t watermark,
                                    std::uint64_t lease_epoch,
                                    std::int64_t lease_expiry, bool full,
                                    const std::vector<Record>& records,
-                                   std::function<bool()> abort = {},
                                    std::uint64_t layout_epoch = 0);
 
   /// Re-reads the newest valid checkpoint chain from the device (restart

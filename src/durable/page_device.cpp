@@ -42,8 +42,8 @@ PageDevice::PageDevice(sim::Simulator& sim, telemetry::Hub* hub,
   ctr_crc_failures_ = &m.counter("durable", "crc_failures", label);
 }
 
-sim::Task<void> PageDevice::charge(sim::Nanos base, double bw_bytes_per_ns,
-                                   std::size_t bytes) {
+sim::Primitive<void> PageDevice::charge(sim::Nanos base, double bw_bytes_per_ns,
+                                        std::size_t bytes) {
   const auto cost =
       base + static_cast<sim::Nanos>(static_cast<double>(bytes) /
                                      bw_bytes_per_ns);
@@ -52,8 +52,8 @@ sim::Task<void> PageDevice::charge(sim::Nanos base, double bw_bytes_per_ns,
   if (free_at_ > sim_->now()) co_await sim_->sleep(free_at_ - sim_->now());
 }
 
-sim::Task<void> PageDevice::write_page(std::uint64_t page,
-                                       std::span<const std::byte> payload) {
+sim::Primitive<void> PageDevice::write_page(
+    std::uint64_t page, std::span<const std::byte> payload) {
   if (page >= cfg_.page_count) {
     throw std::out_of_range("durable: page index past device capacity");
   }
@@ -63,8 +63,8 @@ sim::Task<void> PageDevice::write_page(std::uint64_t page,
   co_await charge(cfg_.write_base, cfg_.write_bw_bytes_per_ns, payload.size());
 
   // Committed at completion time: an operation still queued when the
-  // owner crashes simply never happened (the caller's abort predicate
-  // stops the stream before the next submission).
+  // owner crashes simply never happened (the cancelled caller stops the
+  // stream before the next submission).
   Page& p = pages_[page];
   p.crc = crc32(payload);  // CRC of the *intended* payload
   if (tear_next_) {
@@ -79,8 +79,8 @@ sim::Task<void> PageDevice::write_page(std::uint64_t page,
   ctr_bytes_written_->inc(payload.size());
 }
 
-sim::Task<bool> PageDevice::read_page(std::uint64_t page,
-                                      std::vector<std::byte>& out) {
+sim::Primitive<bool> PageDevice::read_page(std::uint64_t page,
+                                           std::vector<std::byte>& out) {
   if (page >= cfg_.page_count) {
     throw std::out_of_range("durable: page index past device capacity");
   }

@@ -45,13 +45,14 @@ class PageDevice {
   /// Persists `payload` (<= page_bytes) into `page`, charging base +
   /// bandwidth cost on the device channel. The payload is committed at
   /// completion time, not submission time.
-  sim::Task<void> write_page(std::uint64_t page,
-                             std::span<const std::byte> payload);
+  sim::Primitive<void> write_page(std::uint64_t page,
+                                  std::span<const std::byte> payload);
 
   /// Reads `page` into `out` (resized to the stored payload length).
   /// Returns false — with `out` untouched beyond a resize — when the page
   /// was never written or its payload no longer matches the stored CRC.
-  sim::Task<bool> read_page(std::uint64_t page, std::vector<std::byte>& out);
+  sim::Primitive<bool> read_page(std::uint64_t page,
+                                 std::vector<std::byte>& out);
 
   // --- fault-injection hooks (faultlab / tests) ------------------------
   void corrupt_page(std::uint64_t page);
@@ -77,8 +78,8 @@ class PageDevice {
 
   /// Occupies the device channel for base + bytes/bw, queueing behind
   /// earlier operations (same shape as sim::Cpu).
-  sim::Task<void> charge(sim::Nanos base, double bw_bytes_per_ns,
-                         std::size_t bytes);
+  sim::Primitive<void> charge(sim::Nanos base, double bw_bytes_per_ns,
+                              std::size_t bytes);
 
   sim::Simulator* sim_;
   DeviceConfig cfg_;

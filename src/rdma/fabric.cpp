@@ -238,8 +238,8 @@ void Fabric::release_credit(Qp& qp, bool gated) {
   if (qp.outstanding > 0) --qp.outstanding;
 }
 
-sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
-                                   std::span<std::byte> out, Lane lane) {
+sim::Primitive<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
+                                        std::span<std::byte> out, Lane lane) {
   ctr_reads_->inc();
   ctr_read_bytes_->inc(out.size());
   auto span = hub_->tracer.span("rdma", "read", initiator);
@@ -290,10 +290,10 @@ sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
   co_return Completion{Status::kOk};
 }
 
-sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
-                                  std::uint64_t expected,
-                                  std::uint64_t desired,
-                                  std::uint64_t* observed, Lane lane) {
+sim::Primitive<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
+                                       std::uint64_t expected,
+                                       std::uint64_t desired,
+                                       std::uint64_t* observed, Lane lane) {
   // Atomics ride the READ timing path: tiny request out, old value back.
   ctr_reads_->inc();
   ctr_read_bytes_->inc(sizeof(std::uint64_t));
@@ -371,9 +371,9 @@ void Fabric::deliver_write(std::int32_t target_id, RAddr addr,
   region.on_write().notify_all();
 }
 
-sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
-                                    std::span<const std::byte> data,
-                                    Lane lane) {
+sim::Primitive<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
+                                         std::span<const std::byte> data,
+                                         Lane lane) {
   ctr_writes_->inc();
   ctr_write_bytes_->inc(data.size());
   auto span = hub_->tracer.span("rdma", "write", initiator);

@@ -186,16 +186,16 @@ class Fabric {
   /// remote node into `out`. The value is sampled at the instant the read
   /// reaches the remote NIC. Initiator blocks until the completion (which
   /// includes any credit-queue wait when flow control is enabled).
-  sim::Task<Completion> read(std::int32_t initiator, RAddr addr,
-                             std::span<std::byte> out,
-                             Lane lane = Lane::kData);
+  sim::Primitive<Completion> read(std::int32_t initiator, RAddr addr,
+                                  std::span<std::byte> out,
+                                  Lane lane = Lane::kData);
 
   /// One-sided RDMA WRITE: copies `data` into (addr) on the remote node.
   /// Data becomes remotely visible at arrival time; the region's on_write
   /// notifier fires then. Initiator blocks until the completion.
-  sim::Task<Completion> write(std::int32_t initiator, RAddr addr,
-                              std::span<const std::byte> data,
-                              Lane lane = Lane::kData);
+  sim::Primitive<Completion> write(std::int32_t initiator, RAddr addr,
+                                   std::span<const std::byte> data,
+                                   Lane lane = Lane::kData);
 
   /// Fire-and-forget WRITE: posts the verb and returns after the post
   /// overhead only. Used where Heron does not wait for the WC (e.g.
@@ -215,10 +215,10 @@ class Fabric {
   /// trip (request out, old value back). Used by the fast-write path to
   /// take a slot's INVALIDATE lock without clobbering a replica-side
   /// write-phase bracket that opened after the client sampled the word.
-  sim::Task<Completion> cas(std::int32_t initiator, RAddr addr,
-                            std::uint64_t expected, std::uint64_t desired,
-                            std::uint64_t* observed,
-                            Lane lane = Lane::kData);
+  sim::Primitive<Completion> cas(std::int32_t initiator, RAddr addr,
+                                 std::uint64_t expected, std::uint64_t desired,
+                                 std::uint64_t* observed,
+                                 Lane lane = Lane::kData);
 
   /// Injects a phantom transfer (heron::faultlab congestion scenarios):
   /// charges the initiator NIC, credit window, uplink FIFO and channel

@@ -1,4 +1,11 @@
 // A simulated host process attached to the RDMA fabric.
+//
+// Lifetimes: a node runs one sim::Incarnation at a time. crash() ends it,
+// and restart() ends it and starts a fresh one. Protocol coroutines (the
+// replica and amcast endpoint loops) are spawned into the current
+// incarnation through spawn(); once it ends, each of them unwinds at its
+// next await (see sim/task.hpp), so no frame of a crashed incarnation
+// ever runs against the state its successor rebuilt.
 #pragma once
 
 #include <cassert>
@@ -20,13 +27,28 @@ class Node {
   [[nodiscard]] std::int32_t id() const { return id_; }
   [[nodiscard]] bool alive() const { return alive_; }
 
-  /// Crash-stop: the node stops executing and all in-flight / future
-  /// one-sided operations targeting it complete with kRemoteFailure.
-  void crash() { alive_ = false; }
+  /// Crash-stop: the node stops executing — its incarnation ends — and
+  /// all in-flight / future one-sided operations targeting it complete
+  /// with kRemoteFailure.
+  void crash() {
+    alive_ = false;
+    incarnation_->end();
+  }
 
-  /// Rejoins the fabric (used by recovery experiments). Registered memory
-  /// survives the crash (the paper's laggers are slow, not wiped).
-  void restart() { alive_ = true; }
+  /// Rejoins the fabric under a fresh incarnation (used by recovery
+  /// experiments). Registered memory survives the crash (the paper's
+  /// laggers are slow, not wiped).
+  void restart() {
+    alive_ = true;
+    incarnation_->end();
+    restarted_.push_back(std::make_unique<sim::Incarnation>());
+    incarnation_ = restarted_.back().get();
+  }
+
+  /// Starts a protocol coroutine in the node's current incarnation.
+  void spawn(sim::Task<void> task) {
+    sim_->spawn(std::move(task), incarnation_);
+  }
 
   /// Registers `size` bytes and returns the region handle.
   MrId register_region(std::size_t size) {
@@ -54,6 +76,11 @@ class Node {
   std::int32_t id_;
   sim::Cpu cpu_;
   bool alive_ = true;
+  // The current incarnation. Ended ones stay allocated for the node's
+  // lifetime: their frames read them when they next resume.
+  sim::Incarnation first_incarnation_;
+  std::vector<std::unique_ptr<sim::Incarnation>> restarted_;
+  sim::Incarnation* incarnation_ = &first_incarnation_;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
 };
 

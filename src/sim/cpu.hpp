@@ -21,7 +21,7 @@ class Cpu {
 
   /// Occupies the CPU for `duration` ns, queueing behind earlier users.
   /// Returns after the work completes.
-  Task<void> use(Nanos duration) {
+  Primitive<void> use(Nanos duration) {
     const Nanos start = std::max(sim_->now(), free_at_);
     free_at_ = start + duration;
     busy_total_ += duration;

@@ -228,7 +228,7 @@ class Notifier {
 
 /// Suspends until pred() is true, re-checking after every notification.
 template <typename Pred>
-Task<void> wait_until(Notifier& n, Pred pred) {
+Primitive<void> wait_until(Notifier& n, Pred pred) {
   while (!pred()) {
     co_await n.wait();
   }
@@ -238,7 +238,7 @@ Task<void> wait_until(Notifier& n, Pred pred) {
 /// predicate became true, false on timeout. Used for the state-transfer
 /// suspicion timeout (Algorithm 3, lines 19-22) and the lease write gate.
 template <typename Pred>
-Task<bool> wait_until_timeout(Notifier& n, Pred pred, Nanos timeout) {
+Primitive<bool> wait_until_timeout(Notifier& n, Pred pred, Nanos timeout) {
   Simulator& sim = n.simulator();
   const Nanos deadline = sim.now() + timeout;
   // One deadline timer for the whole wait, armed lazily on the first

@@ -5,30 +5,16 @@
 
 namespace heron::sim {
 
-void Simulator::spawn(Task<void> task) {
-  task.set_failure_flag(&root_failed_);
+void Simulator::spawn(Task<void> task, const Incarnation* scope) {
+  task.set_scope(scope);
   task.start();
-  if (!task.done()) {
-    roots_.push_back(std::move(task));
-  } else if (task.failed()) {
-    root_failed_ = false;
-    task.rethrow_if_failed();
-  }
+  if (!task.done()) roots_.push_back(std::move(task));
   // Lazy cleanup so long runs with many short-lived roots don't grow.
   if (roots_.size() > 64) reap_roots();
 }
 
 void Simulator::reap_roots() {
-  root_failed_ = false;
-  std::exception_ptr failure;
-  for (const auto& t : roots_) {
-    if (t.failed()) {
-      failure = t.exception();
-      break;
-    }
-  }
   std::erase_if(roots_, [](const Task<void>& t) { return t.done(); });
-  if (failure) std::rethrow_exception(failure);
 }
 
 void Simulator::step(Event&& ev) {
@@ -38,17 +24,13 @@ void Simulator::step(Event&& ev) {
 }
 
 void Simulator::run() {
-  while (!queue_.empty()) {
-    step(queue_.pop());
-    if (root_failed_) reap_roots();
-  }
+  while (!queue_.empty()) step(queue_.pop());
   reap_roots();
 }
 
 void Simulator::run_until(Nanos deadline) {
   while (!queue_.empty() && queue_.next_when() <= deadline) {
     step(queue_.pop());
-    if (root_failed_) reap_roots();
   }
   now_ = std::max(now_, deadline);
   reap_roots();

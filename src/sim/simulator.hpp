@@ -70,9 +70,13 @@ class Simulator {
 
   /// Starts a root coroutine. The simulator owns the frame until the task
   /// completes (or until the simulator is destroyed). An exception
-  /// escaping a root task is rethrown from run()/run_until() at the next
-  /// event boundary.
-  void spawn(Task<void> task);
+  /// escaping a root task propagates out of spawn() or, once the root has
+  /// suspended, out of run()/run_until() from the event that resumed it.
+  /// With `scope`, the root and the tasks it awaits run in that
+  /// incarnation and unwind at their next await once it ends (see
+  /// task.hpp); a root that finishes cancelled is not a failure. `scope`
+  /// must outlive every resumption of the root.
+  void spawn(Task<void> task, const Incarnation* scope = nullptr);
 
   /// Runs until the event queue is empty.
   void run();
@@ -126,10 +130,6 @@ class Simulator {
   std::vector<Task<void>> roots_;
   std::vector<TimerSlot> timer_slots_;
   std::vector<std::uint32_t> timer_free_;
-  // Set by a root task's promise the instant an exception escapes it;
-  // checked after every event so failures surface promptly instead of at
-  // the next lazy reap.
-  bool root_failed_ = false;
 };
 
 }  // namespace heron::sim

@@ -68,7 +68,7 @@ struct Cluster {
 // --- encoding regression tests ---------------------------------------
 
 TEST(AmcastTypes, UidEncodingNeverCollidesWithSentinel) {
-  // uid 0 is the inbox empty-slot / stale-waiter sentinel. The unbiased
+  // uid 0 is the inbox empty-slot sentinel. The unbiased
   // encoding mapped (client 0, seq 0) onto it, silently dropping that
   // message; the biased encoding must keep every valid pair nonzero.
   EXPECT_NE(make_uid(0, 0), MsgUid{0});

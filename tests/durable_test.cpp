@@ -55,6 +55,32 @@ std::vector<Record> recs(R... r) {
   return out;
 }
 
+/// Starts a checkpoint write in an incarnation of its own and ends that
+/// incarnation at once, as when the owner crashes between page writes:
+/// the write is cancelled when its first page write completes. Returns
+/// after the cancelled write has unwound; `committed` reports whether it
+/// returned normally instead.
+sim::Task<void> crashed_checkpoint(sim::Simulator& sim, CheckpointStore& store,
+                                   std::uint64_t watermark,
+                                   std::vector<Record> records,
+                                   bool& committed) {
+  committed = false;
+  bool finished = false;
+  sim::Incarnation inc;
+  sim.spawn(
+      [](CheckpointStore& s, std::uint64_t w, std::vector<Record> r,
+         bool& ok, bool& fin) -> sim::Task<void> {
+        struct Finish {
+          bool& fin;
+          ~Finish() { fin = true; }
+        } finish{fin};
+        ok = co_await s.write_checkpoint(w, 0, 0, false, r);
+      }(store, watermark, std::move(records), committed, finished),
+      &inc);
+  inc.end();
+  while (!finished) co_await sim.sleep(sim::us(10));
+}
+
 TEST(Crc32, KnownAnswer) {
   // The canonical CRC-32 (reflected, poly 0xEDB88320) check value.
   const std::string kat = "123456789";
@@ -253,10 +279,10 @@ TEST(CheckpointStore, AbortedCheckpointKeepsPreviousCommit) {
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(100, 0, 0, true,
                                     recs(object_record(1, 100, "stable")));
-    // The owner "crashes" between page writes: abort fires immediately.
-    const bool ok = co_await store.write_checkpoint(
-        200, 0, 0, false, recs(object_record(1, 200, "doomed")),
-        [] { return true; });
+    // The owner crashes between page writes: its write is cancelled.
+    bool ok = false;
+    co_await crashed_checkpoint(sim, store, 200,
+                                recs(object_record(1, 200, "doomed")), ok);
     EXPECT_FALSE(ok);
     EXPECT_EQ(store.aborted_checkpoints(), 1u);
     EXPECT_EQ(store.watermark(), 100u);
@@ -361,14 +387,15 @@ TEST(CheckpointStore, AbortAtDataPageAllocDoesNotLeakPages) {
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(100, 0, 0, true,
                                     recs(object_record(1, 100, "base")));
-    // Each attempt aborts right after allocating its first data page;
+    // Each attempt is cancelled right after writing its first data page;
     // that page must go back to the allocator, not leak.
     for (int i = 0; i < 20; ++i) {
-      const bool ok = co_await store.write_checkpoint(
-          200, 0, 0, false, recs(object_record(1, 200, "doomed")),
-          [] { return true; });
+      bool ok = false;
+      co_await crashed_checkpoint(sim, store, 200,
+                                  recs(object_record(1, 200, "doomed")), ok);
       EXPECT_FALSE(ok);
     }
+    EXPECT_EQ(store.aborted_checkpoints(), 20u);
     // With no leak the device still has room for a real delta.
     const bool ok = co_await store.write_checkpoint(
         200, 0, 0, false, recs(object_record(1, 200, "landed")));

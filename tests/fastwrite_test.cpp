@@ -1,6 +1,6 @@
 // Hermes-style leased fast writes: warm-cache one-sided commits, every
-// fallback trigger, orphaned-INVALIDATE repair, the write-gate takeover
-// bugfix, stats-reset hygiene, truncated-read recovery, and mixed
+// fallback trigger, orphaned-INVALIDATE repair, write-gate hygiene across
+// a crash + restart, stats-reset hygiene, truncated-read recovery, and mixed
 // fast-read/fast-write chaos cells under the LinearChecker oracle.
 #include <gtest/gtest.h>
 
@@ -272,47 +272,120 @@ TEST(FastWrite, OrphanedInvalidateIsFencedAndRepaired) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: takeover mid-gate must not strand an odd seqlock
+// Crash + restart mid-gate: no stranded odd seqlock, no stolen bracket
 // ---------------------------------------------------------------------
 
-/// Regression: Replica::write_gate used to early-return when its
-/// incarnation went stale mid-wait, leaving the request's write brackets
-/// (odd seqlocks) permanently stranded — every later fast read of those
-/// oids saw a torn slot forever. A takeover is an incarnation bump
-/// WITHOUT a restart, so no restart sweep ever repaired them.
-sim::Task<void> takeover_script(core::System& sys, core::Client& client,
-                                bool& done) {
+/// Regression (seqlock hygiene across a restart): the leader crashes while
+/// its write gate holds the request's bracket (an odd seqlock) and comes
+/// back at once. The pre-crash gate must not resume into the restarted
+/// incarnation, and restart()'s sweep plus the surviving replica's capped
+/// gate must leave no slot permanently odd — an odd slot walls every
+/// later fast read off it.
+sim::Task<void> restart_mid_gate_script(core::System& sys,
+                                        core::Client& client, bool& done) {
   auto& sim = sys.simulator();
   co_await deposit(client, 0, 5);
-  // Crash a follower: its applied-word mirror at the leader stops
-  // advancing, so the next write's gate must wait (capped by the lease).
+  // Crash a follower: its applied-word mirror stops advancing, so the
+  // next write's gate must wait (capped by the lease).
   sys.amcast().endpoint(0, 2).node().crash();
   co_await sim.sleep(sim::us(50));
   auto& leader = sys.replica(0, 0);
   const auto waits_before = leader.gate_waits();
   sim.spawn([](core::Client& client) -> sim::Task<void> {
     DepositReq req{0, 7};
-    // The takeover stalls the leader's main loop mid-request; the
-    // submit's terminal status is irrelevant here — only the bracket
-    // hygiene below is.
+    // The crash stalls the leader mid-request; the submit's terminal
+    // status is irrelevant here — only the bracket hygiene below is.
     (void)co_await client.submit(amcast::dst_of(0), kDeposit,
                                  std::as_bytes(std::span(&req, 1)));
   }(client));
   while (leader.gate_waits() == waits_before) co_await sim.sleep(sim::us(2));
   // Mid-gate: the slot is bracketed (odd) and the gate is waiting.
-  EXPECT_GT(leader.open_bracket_count(), 0u);
-  leader.debug_bump_incarnation();  // takeover, no restart
-  // Let the capped gate wait run out (the lease is 1 ms).
+  EXPECT_EQ(leader.store().seqlock(0) & 1, 1u);
+  sys.amcast().endpoint(0, 0).node().crash();
+  co_await sim.sleep(sim::us(10));
+  sys.restart_replica(0, 0);
+  const sim::Nanos give_up = sim.now() + sim::ms(20);
+  while (leader.rejoining() && sim.now() < give_up) {
+    co_await sim.sleep(sim::us(10));
+  }
+  EXPECT_FALSE(leader.rejoining()) << "restarted leader never rejoined";
+  // Let every capped gate wait run out (the lease is 1 ms).
   co_await sim.sleep(sim::ms(3));
-  EXPECT_EQ(leader.open_bracket_count(), 0u)
-      << "takeover mid-gate stranded a write bracket";
-  EXPECT_EQ(leader.store().seqlock(0) & 1, 0u)
-      << "takeover mid-gate left the seqlock permanently odd";
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(sys.replica(0, r).store().seqlock(0) & 1, 0u)
+        << "restart mid-gate left replica " << r << "'s seqlock odd";
+  }
   done = true;
 }
 
-TEST(FastWrite, TakeoverMidGateReleasesWriteBrackets) {
-  run_script(127, write_config(sim::ms(1)), takeover_script);
+TEST(FastWrite, RestartMidGateLeavesNoOddSeqlock) {
+  run_script(127, write_config(sim::ms(1)), restart_mid_gate_script);
+}
+
+/// Regression: a write gate parked across a quick crash+restart used to
+/// wake at its old timeout and end the seqlock bracket that the restarted
+/// incarnation had since opened on the same slot for a later write — a
+/// fast reader could then see that write's value before every lease
+/// holder applied it (read inversion). The pre-crash gate must unwind
+/// without touching the successor's bracket.
+sim::Task<void> stale_gate_script(core::System& sys, core::Client& client,
+                                  bool& done) {
+  auto& sim = sys.simulator();
+  auto& second = sys.add_client();
+  auto& r1 = sys.replica(0, 1);
+  co_await deposit(client, 0, 5);
+  // r2 down: r1's applied-word mirror of r2 stops, so every gate waits
+  // until the lease active at execution expires.
+  sys.amcast().endpoint(0, 2).node().crash();
+  co_await sim.sleep(sim::us(50));
+
+  // Deposit A: r1's gate parks with its timer at the current expiry.
+  const auto waits_a = r1.gate_waits();
+  const sim::Nanos old_expiry = r1.lease_expiry();
+  sim.spawn([](core::Client& c) -> sim::Task<void> {
+    DepositReq req{0, 7};
+    (void)co_await c.submit(amcast::dst_of(0), kDeposit,
+                            std::as_bytes(std::span(&req, 1)));
+  }(client));
+  while (r1.gate_waits() == waits_a) co_await sim.sleep(sim::us(2));
+
+  // Quick crash + restart of r1 while that gate is parked.
+  sys.amcast().endpoint(0, 1).node().crash();
+  co_await sim.sleep(sim::us(10));
+  sys.restart_replica(0, 1);
+  while (r1.rejoining() || r1.lease_epoch() == 0) {
+    co_await sim.sleep(sim::us(10));
+  }
+  EXPECT_GT(r1.lease_expiry(), old_expiry + sim::us(100));
+
+  // Deposit B: the restarted r1 brackets account 0 and its gate waits
+  // until the newer lease expires.
+  const auto waits_b = r1.gate_waits();
+  bool b_done = false;
+  sim.spawn([](core::Client& c, bool& fin) -> sim::Task<void> {
+    DepositReq req{0, 11};
+    (void)co_await c.submit(amcast::dst_of(0), kDeposit,
+                            std::as_bytes(std::span(&req, 1)));
+    fin = true;
+  }(second, b_done));
+  while (r1.gate_waits() == waits_b) co_await sim.sleep(sim::us(2));
+  EXPECT_EQ(r1.store().seqlock(0) & 1, 1u) << "B's bracket is not open";
+
+  // Past the pre-crash gate's timeout, B's bracket must still be open.
+  co_await sim.sleep(old_expiry + sim::us(100) - sim.now());
+  EXPECT_FALSE(b_done);
+  EXPECT_EQ(r1.store().seqlock(0) & 1, 1u)
+      << "the pre-crash gate ended the restarted incarnation's bracket";
+
+  // B's own gate ends the bracket when the newer lease expires.
+  while (!b_done) co_await sim.sleep(sim::us(50));
+  EXPECT_EQ(r1.store().seqlock(0) & 1, 0u);
+  done = true;
+}
+
+TEST(FastWrite, PreCrashGateLeavesSuccessorBracketOpen) {
+  run_script(127, write_config(sim::ms(20), /*fast_writes=*/false),
+             stale_gate_script, sim::ms(60));
 }
 
 // ---------------------------------------------------------------------

@@ -418,6 +418,42 @@ TEST(Fabric, CreditWindowQueuesExcessVerbs) {
   }
 }
 
+TEST(Incarnation, CancelledFabricOpStillReleasesItsCredit) {
+  // A verb is a primitive: a caller whose incarnation ends mid-verb is
+  // cancelled only after the verb completed and returned its QP credit,
+  // so surviving traffic on the same QP is not starved.
+  LatencyModel m;
+  m.credit_window = 1;
+  Simulator sim;
+  Fabric fabric(sim, m);
+  Node& a = fabric.add_node();
+  Node& b = fabric.add_node();
+  MrId mr = b.register_region(1 << 20);
+  std::vector<std::uint8_t> big(128 * 1024, 0xCC);
+
+  auto writer = [](Fabric& f, std::int32_t from, RAddr addr,
+                   std::span<const std::byte> bytes, bool& done) -> Task<void> {
+    (void)co_await f.write(from, addr, bytes);
+    done = true;
+  };
+  sim::Incarnation inc;
+  bool cancelled_done = false;
+  bool survivor_done = false;
+  sim.spawn(writer(fabric, a.id(), RAddr{b.id(), mr, 0}, as_bytes(big),
+                   cancelled_done),
+            &inc);
+  sim.spawn(writer(fabric, a.id(), RAddr{b.id(), mr, 256 * 1024},
+                   as_bytes(big), survivor_done));
+  EXPECT_EQ(fabric.credit_queue_depth(a.id()), 1u);  // survivor queued
+  inc.end();
+  sim.run();
+  EXPECT_FALSE(cancelled_done);
+  EXPECT_TRUE(survivor_done) << "the cancelled verb kept its credit";
+  EXPECT_EQ(fabric.credit_queue_depth(a.id()), 0u);
+  // The cancelled caller's verb itself still landed.
+  EXPECT_EQ(static_cast<std::uint8_t>(b.region(mr).bytes()[0]), 0xCC);
+}
+
 TEST(Fabric, TorTopologyChargesCrossRackTraffic) {
   LatencyModel m;
   m.rack_size = 2;

@@ -836,5 +836,181 @@ TEST(Rng, ZipfIsDeterministicPerSeed) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Incarnation scopes: every await of a scoped frame is a cancellation
+// point once its incarnation has ended.
+// ---------------------------------------------------------------------
+
+/// Sets its flag when destroyed — proves RAII locals run on unwind.
+struct Witness {
+  bool& flag;
+  ~Witness() { flag = true; }
+};
+
+/// Runs one suspension kind in its own incarnation, ends the incarnation
+/// while the frame is suspended, then lets the suspension complete: the
+/// frame must unwind at that await without running the code after it.
+template <typename MakeBody>
+void expect_cancelled_at_await(MakeBody make_body) {
+  Simulator sim;
+  Notifier n(sim);
+  bool after = false;
+  bool unwound = false;
+  Incarnation inc;
+  sim.spawn(make_body(sim, n, after, unwound), &inc);
+  sim.run_until(us(1));
+  EXPECT_FALSE(unwound) << "frame did not suspend";
+  inc.end();
+  n.notify_all();
+  EXPECT_NO_THROW(sim.run());  // a cancelled root is not a failure
+  EXPECT_FALSE(after) << "code after the cancelled await ran";
+  EXPECT_TRUE(unwound) << "frame did not unwind";
+}
+
+TEST(Incarnation, SleepIsACancellationPoint) {
+  expect_cancelled_at_await(
+      [](Simulator& s, Notifier&, bool& after, bool& unwound) -> Task<void> {
+        Witness w{unwound};
+        co_await s.sleep(us(5));
+        after = true;
+      });
+}
+
+TEST(Incarnation, WaitUntilIsACancellationPoint) {
+  expect_cancelled_at_await(
+      [](Simulator&, Notifier& n, bool& after, bool& unwound) -> Task<void> {
+        Witness w{unwound};
+        // False until re-checked after the notification.
+        co_await wait_until(n, [checks = 0]() mutable { return ++checks > 1; });
+        after = true;
+      });
+}
+
+TEST(Incarnation, WaitUntilTimeoutIsACancellationPoint) {
+  expect_cancelled_at_await(
+      [](Simulator&, Notifier& n, bool& after, bool& unwound) -> Task<void> {
+        Witness w{unwound};
+        (void)co_await wait_until_timeout(n, [] { return false; }, us(5));
+        after = true;
+      });
+}
+
+TEST(Incarnation, NestedTaskInheritsTheScope) {
+  expect_cancelled_at_await(
+      [](Simulator& s, Notifier&, bool& after, bool& unwound) -> Task<void> {
+        struct Child {
+          static Task<int> run(Simulator& sim, bool& child_after) {
+            co_await sim.sleep(us(5));
+            child_after = true;  // the child is cancelled at its own await
+            co_return 1;
+          }
+        };
+        Witness w{unwound};
+        bool child_after = false;
+        (void)co_await Child::run(s, child_after);
+        after = true;
+        EXPECT_FALSE(child_after);
+      });
+}
+
+TEST(Incarnation, PrimitiveRunsToCompletionThenCallerCancels) {
+  // The primitive keeps running after the end (fabric verbs release QP
+  // credits after their last sleep); the scoped caller unwinds only once
+  // it has returned.
+  expect_cancelled_at_await(
+      [](Simulator& s, Notifier&, bool& after, bool& unwound) -> Task<void> {
+        struct Prim {
+          static Primitive<int> run(Simulator& sim, bool& finished) {
+            co_await sim.sleep(us(5));
+            co_await sim.sleep(us(5));
+            finished = true;
+            co_return 1;
+          }
+        };
+        bool finished = false;
+        struct Check {
+          bool& finished;
+          bool& unwound;
+          ~Check() {
+            EXPECT_TRUE(finished) << "primitive was cut short";
+            unwound = true;
+          }
+        } check{finished, unwound};
+        (void)co_await Prim::run(s, finished);
+        after = true;
+      });
+}
+
+TEST(Incarnation, OtherScopesAndUnscopedFramesAreUntouched) {
+  Simulator sim;
+  Incarnation ended;
+  Incarnation other;
+  int finished = 0;
+  auto body = [](Simulator& s, int& count) -> Task<void> {
+    co_await s.sleep(us(5));
+    ++count;
+  };
+  sim.spawn(body(sim, finished), &ended);
+  sim.spawn(body(sim, finished), &other);
+  sim.spawn(body(sim, finished));
+  ended.end();
+  sim.run();
+  EXPECT_EQ(finished, 2);
+}
+
+TEST(Incarnation, RealExceptionInScopedFrameSurfacesPromptly) {
+  Simulator sim;
+  Incarnation inc;
+  bool later_ran = false;
+  sim.spawn([](Simulator& s) -> Task<void> {
+    co_await s.sleep(us(1));
+    throw std::runtime_error("scoped failure");
+  }(sim), &inc);
+  sim.schedule(us(2), [&] { later_ran = true; });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_FALSE(later_ran);
+}
+
+TEST(Incarnation, ManyCancelledRootsAreReapedQuietly) {
+  // Past 64 roots spawn() reaps finished ones; cancelled roots must be
+  // dropped there without being reported.
+  Simulator sim;
+  Incarnation inc;
+  for (int i = 0; i < 200; ++i) {
+    sim.spawn([](Simulator& s) -> Task<void> {
+      co_await s.sleep(us(1));
+    }(sim), &inc);
+  }
+  inc.end();
+  sim.run_until(us(2));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_NO_THROW(sim.spawn([]() -> Task<void> { co_return; }()));
+  }
+  EXPECT_NO_THROW(sim.run());
+}
+
+TEST(Incarnation, UnwindGuardActsOnlyOnCancellation) {
+  Simulator sim;
+  Incarnation inc;
+  int cancelled_ran = 0;
+  int finished_ran = 0;
+  int parked_ran = 0;
+  auto body = [](Simulator& s, Nanos d, int& ran) -> Task<void> {
+    UnwindGuard guard([&ran] { ++ran; });
+    co_await s.sleep(d);
+  };
+  sim.spawn(body(sim, us(5), cancelled_ran), &inc);
+  sim.spawn(body(sim, us(5), finished_ran));
+  {
+    Simulator teardown;
+    teardown.spawn(body(teardown, us(5), parked_ran));
+  }  // destroys the parked frame: not an unwind
+  inc.end();
+  sim.run();
+  EXPECT_EQ(cancelled_ran, 1);
+  EXPECT_EQ(finished_ran, 0);
+  EXPECT_EQ(parked_ran, 0);
+}
+
 }  // namespace
 }  // namespace heron::sim
